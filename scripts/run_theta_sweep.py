@@ -19,13 +19,12 @@ N_DAYS = 1010  # ~1 year of lookback plus ~3 years of rebalances
 LOOKBACK = 252
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--solver", choices=["sb", "greedy", "exact"], default="sb")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=2)
     ap.add_argument("--out", default="theta_sweep.csv")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     panel = synth_panel(N_STOCKS, N_DAYS, 3, seed=args.seed)
     config = BacktestConfig(
@@ -33,7 +32,7 @@ def main():
         node_limit=N_STOCKS, seed=args.seed,
     )
     t0 = time.perf_counter()
-    rows = sweep_theta(panel, config, threads=args.threads)
+    rows = sweep_theta(panel, config)
     write_sweep_csv(rows, args.out)
     print(f"{len(rows)} settings in {time.perf_counter() - t0:.1f}s -> {args.out}\n")
 

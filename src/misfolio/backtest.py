@@ -28,7 +28,6 @@ import dataclasses
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,13 +74,11 @@ class BacktestConfig:
     node_limit: int = 64
     drop_zero_vol: bool = False
     initial_value: float = 1.0
-    threads: int = 1
 
     def __post_init__(self):
         if not -1.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [-1, 1]")
-        if self.cost_rate < 0:
-            raise ValueError("cost_rate must be >= 0")
+        _check_cost_rate(self.cost_rate)
         if self.weighting not in ("ew", "ivw"):
             raise ValueError(f"unknown weighting {self.weighting!r}")
         if self.solver not in ("sb", "greedy", "exact"):
@@ -206,6 +203,12 @@ def weights_ivw(selected, vols: dict[str, float]) -> dict[str, float]:
     return {t: v / total for t, v in raw.items()}
 
 
+def _check_cost_rate(cost_rate: float) -> None:
+    # at a rate of 1 or more the cost of a trade eats the whole book
+    if not 0.0 <= cost_rate < 1.0:
+        raise ValueError(f"cost_rate must lie in [0, 1), got {cost_rate}")
+
+
 def transaction_cost(buy_amount: float, sell_amount: float, cost_rate: float) -> float:
     """Cost of a trade list: rate times (amount bought + |amount sold|)."""
     return cost_rate * (buy_amount + abs(sell_amount))
@@ -226,6 +229,7 @@ def rebalance(
     Names whose target matches the current position to the last bit are
     left untouched (no phantom trades, no drift from re-dividing).
     """
+    _check_cost_rate(cost_rate)
     for t in set(prev.shares) | set(new_weights):
         if t not in prices:
             raise DataError(f"no price for {t} in month {month or '?'}")
@@ -302,7 +306,7 @@ def _solve_month(graph: market_graph.MarketGraph, config: BacktestConfig, month_
     if config.solver == "exact":
         return mis_qubo.solve_exact(graph, node_limit=config.node_limit)
     params = SbParams(restarts=config.restarts, seed=derive_seed(config.seed, month_index))
-    return solve_mis_sb(graph, params, threads=config.threads)
+    return solve_mis_sb(graph, params)
 
 
 def run_backtest(panel: PricePanel, config: BacktestConfig) -> BacktestReport:
@@ -464,6 +468,17 @@ class SweepRow:
     error: str | None = None
 
 
+#: errors that fail one sweep setting without stopping the sweep
+_SWEEP_ROW_ERRORS = (
+    DataError,
+    InsufficientDataError,
+    ZeroVolatilityError,
+    AccountingError,
+    mis_qubo.GraphTooLargeError,
+    mis_qubo.SolveTimeout,
+)
+
+
 def default_theta_grid(lo: float = 0.18, hi: float = 0.36, step: float = 0.01) -> list[float]:
     count = int(round((hi - lo) / step)) + 1
     return [round(lo + k * step, 10) for k in range(count)]
@@ -474,9 +489,11 @@ def sweep_theta(
     base_config: BacktestConfig,
     theta_list=None,
     weighting_list=None,
-    threads: int = 1,
 ) -> list[SweepRow]:
-    """One full backtest per (theta, weighting); failures fill ``error``.
+    """One full backtest per (theta, weighting).
+
+    A data or solver error in one setting fills that row's ``error`` and the
+    sweep goes on; any other exception propagates.
 
     Both weightings of a given theta share a derived seed, so their graph
     and selection statistics coincide row-to-row.
@@ -498,7 +515,7 @@ def sweep_theta(
         row = SweepRow(theta=cfg.theta, weighting=cfg.weighting)
         try:
             report = run_backtest(panel, cfg)
-        except Exception as exc:  # propagate per-setting, keep sweeping
+        except _SWEEP_ROW_ERRORS as exc:
             row.error = f"{type(exc).__name__}: {exc}"
             return row
         dens = np.array([m.edge_density for m in report.months])
@@ -516,10 +533,7 @@ def sweep_theta(
             row.sharpe = report.summary.sharpe
         return row
 
-    if threads <= 1:
-        return [run_one(cfg) for cfg in settings]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run_one, settings))
+    return [run_one(cfg) for cfg in settings]
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:

@@ -46,7 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for restarts/sweeps")
     parser.add_argument("--log-level", choices=sorted(_LOG_LEVELS), default="info")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -143,7 +142,7 @@ def cmd_solve(args, parser) -> int:
         solution = solve_exact(graph, node_limit=args.node_limit)
     else:
         params = SbParams(restarts=args.restarts, seed=args.seed)
-        solution, runs = solve_mis_sb_runs(graph, params, threads=args.threads)
+        solution, runs = solve_mis_sb_runs(graph, params)
         for run in runs:
             if run.failed:
                 print(f"run {run.run_index}: failed (diverged at step {run.fail_step})")
@@ -170,7 +169,6 @@ def _config_from_args(args, theta: float, weighting: str) -> BacktestConfig:
         restarts=args.restarts,
         seed=args.seed,
         node_limit=args.node_limit,
-        threads=args.threads,
     )
 
 
@@ -203,7 +201,7 @@ def cmd_sweep(args, parser) -> int:
     if not weightings or any(w not in ("ew", "ivw") for w in weightings):
         parser.error("--weightings must be a comma-separated subset of ew,ivw")
     base = _config_from_args(args, theta=thetas[0], weighting=weightings[0])
-    rows = sweep_theta(panel, base, thetas, weightings, threads=args.threads)
+    rows = sweep_theta(panel, base, thetas, weightings)
     write_sweep_csv(rows, args.out)
     failed = sum(1 for r in rows if r.error)
     print(f"wrote {len(rows)} sweep rows to {args.out}" + (f" ({failed} failed)" if failed else ""))
@@ -240,7 +238,7 @@ def cmd_bench(args, parser) -> int:
                         sol = solve_exact(graph, node_limit=n, time_budget=args.timeout_secs)
                     else:
                         params = SbParams(seed=derive_seed(args.seed, n * 10_000 + gi))
-                        sol, _ = solve_mis_sb_runs(graph, params, threads=args.threads)
+                        sol, _ = solve_mis_sb_runs(graph, params)
                     size = sol.size if sol.feasible else None
                 except SolveTimeout:
                     size = None

@@ -53,13 +53,14 @@ class MarketGraph:
 
     @cached_property
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 float64 matrix unpacked from the bitmask rows."""
+        """Dense 0/1 float64 matrix unpacked from the bitmask rows (read-only)."""
         n = self.n_nodes
         nbytes = (n + 7) // 8
         out = np.empty((n, n), dtype=np.float64)
         for i, mask in enumerate(self.adjacency):
             raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
             out[i] = np.unpackbits(raw, bitorder="little")[:n]
+        out.flags.writeable = False
         return out
 
     def _check(self, node: int) -> None:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -42,10 +41,11 @@ class SolveTimeout(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class QuboProblem:
-    """Quadratic cost over bits: pair coefficients + per-bit linear terms."""
+    """MIS cost over bits: ``penalty`` on each edge of the 0/1 ``adjacency``
+    matrix (symmetric, zero diagonal) plus per-bit ``linear`` terms."""
 
     n_bits: int
-    quad: dict[tuple[int, int], float]
+    adjacency: np.ndarray
     linear: np.ndarray
     penalty: float = DEFAULT_PENALTY
     reward: float = DEFAULT_REWARD
@@ -55,31 +55,24 @@ class QuboProblem:
             raise ValueError(
                 f"need 0 < reward < penalty, got reward={self.reward}, penalty={self.penalty}"
             )
-        object.__setattr__(self, "linear", np.asarray(self.linear, dtype=np.float64))
-
-    @cached_property
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self.quad:
-            z = np.empty(0, dtype=np.intp)
-            return z, z, np.empty(0)
-        ii, jj = np.array(sorted(self.quad), dtype=np.intp).T
-        vv = np.array([self.quad[(i, j)] for i, j in sorted(self.quad)])
-        return ii, jj, vv
+        a = np.asarray(self.adjacency, dtype=np.float64)
+        linear = np.asarray(self.linear, dtype=np.float64)
+        if a.shape != (self.n_bits, self.n_bits) or linear.shape != (self.n_bits,):
+            raise ValueError("adjacency/linear shapes must match n_bits")
+        if np.any((a != 0.0) & (a != 1.0)) or np.any(np.diagonal(a) != 0.0) or not np.array_equal(a, a.T):
+            raise ValueError("adjacency must be a symmetric 0/1 matrix with zero diagonal")
+        object.__setattr__(self, "adjacency", a)
+        object.__setattr__(self, "linear", linear)
 
 
 @dataclass(frozen=True, eq=False)
 class IsingProblem:
-    """Symmetric coupling matrix J (zero diagonal), bias h, energy offset.
-
-    ``edge_value`` is set when every nonzero coupling shares one value; the
-    solver exploits that to run its matrix stage on the 0/1 mask alone.
-    """
+    """Symmetric coupling matrix J (zero diagonal), bias h, energy offset."""
 
     n_spins: int
     j: np.ndarray
     h: np.ndarray
     offset: float
-    edge_value: float | None = None
 
     def __post_init__(self):
         j = np.asarray(self.j, dtype=np.float64)
@@ -118,10 +111,12 @@ NO_FEASIBLE = MisSolution(selected=(), size=0, feasible=False, source="none")
 
 def to_qubo(graph: MarketGraph, penalty: float = DEFAULT_PENALTY, reward: float = DEFAULT_REWARD) -> QuboProblem:
     """Encode MIS on ``graph``: +penalty per selected edge, -reward per node."""
-    quad = {(i, j): penalty for i, j in graph.edges()}
-    linear = np.full(graph.n_nodes, -reward)
     return QuboProblem(
-        n_bits=graph.n_nodes, quad=quad, linear=linear, penalty=penalty, reward=reward
+        n_bits=graph.n_nodes,
+        adjacency=graph.adjacency_matrix,
+        linear=np.full(graph.n_nodes, -reward),
+        penalty=penalty,
+        reward=reward,
     )
 
 
@@ -132,28 +127,21 @@ def qubo_cost(problem: QuboProblem, bits) -> float:
 def qubo_cost_many(problem: QuboProblem, bit_rows: np.ndarray) -> np.ndarray:
     """Vectorized cost for a (m, n_bits) matrix of configurations."""
     b = np.asarray(bit_rows, dtype=np.float64)
-    ii, jj, vv = problem._pairs
-    out = b @ problem.linear
-    if ii.size:
-        out = out + (b[:, ii] * b[:, jj]) @ vv
-    return out
+    # each selected edge appears twice in b A b'
+    selected_edges = ((b @ problem.adjacency) * b).sum(axis=1) / 2.0
+    return b @ problem.linear + problem.penalty * selected_edges
 
 
 def qubo_to_ising(problem: QuboProblem) -> IsingProblem:
-    """Expand ``b = (s+1)/2``; constants go into the offset."""
-    n = problem.n_bits
-    j = np.zeros((n, n))
-    h = -problem.linear / 2.0
-    offset = float(problem.linear.sum()) / 2.0
-    for (a, b), coeff in problem.quad.items():
-        j[a, b] += -coeff / 4.0
-        j[b, a] += -coeff / 4.0
-        h[a] -= coeff / 4.0
-        h[b] -= coeff / 4.0
-        offset += coeff / 4.0
-    values = {float(v) for v in problem.quad.values()}
-    edge_value = -values.pop() / 4.0 if len(values) == 1 else None
-    return IsingProblem(n_spins=n, j=j, h=h, offset=offset, edge_value=edge_value)
+    """Closed form of ``b = (s+1)/2`` (see the module docstring)."""
+    a = problem.adjacency
+    deg = a.sum(axis=1)
+    # not -(penalty/4) * a, which would put -0.0 on every non-edge
+    j = np.where(a != 0.0, -problem.penalty / 4.0, 0.0)
+    h = -problem.linear / 2.0 - problem.penalty * deg / 4.0
+    n_edges = float(deg.sum()) / 2.0
+    offset = float(problem.linear.sum()) / 2.0 + problem.penalty * n_edges / 4.0
+    return IsingProblem(n_spins=problem.n_bits, j=j, h=h, offset=offset)
 
 
 def ising_energy(problem: IsingProblem, spins) -> float:

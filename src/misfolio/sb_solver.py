@@ -4,8 +4,7 @@ Each of ``n`` oscillators carries a position/momentum pair ``(x_i, p_i)``.
 One time step, in order:
 
 1. coupling stage: ``mm_i = sum_j J_ij x_j`` (a single matrix-vector
-   product; for uniform-coupling problems it runs on the 0/1 adjacency
-   mask and rescales by the shared coupling value, the "masked" path)
+   product)
 2. momentum: ``p_i += dt * (-(alpha0 - alpha_k) x_i + eta * h'_i + c0 * mm_i)``
 3. position: ``x_i += dt * p_i``
 4. perfectly inelastic walls at +/-1: where ``|x_i| > 1``, set
@@ -40,15 +39,14 @@ from the bias swamps the initial differences and every restart funnels
 into the same attractor, wasting the multi-start budget (measured: exact
 hit rates on 20-node test graphs rise from ~93% to ~99% with full-range
 starts).  Every run is an independent, fixed sequence of operations on
-its own buffers, so results are bit-identical regardless of the
-``threads`` setting used to schedule the restarts.
+its own buffers, so the same problem, params and seed give bit-identical
+results.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -111,6 +109,7 @@ class SbParams:
             "coupling_scale": self.coupling_scale,
             "restarts": self.restarts,
             "seed": self.seed,
+            "bias_conditioning": self.bias_conditioning,
         }
 
 
@@ -154,42 +153,21 @@ def default_coupling_scale(problem: IsingProblem) -> float:
     return DEFAULT_COUPLING_KAPPA / (rms * math.sqrt(n))
 
 
-def _setup(problem: IsingProblem, params: SbParams, mm_mode: str):
-    """Resolve the matvec path and precompute per-step constants."""
-    if mm_mode == "auto":
-        mm_mode = "masked" if problem.edge_value is not None else "dense"
-    if mm_mode == "masked":
-        if problem.edge_value is None:
-            raise ValueError("masked matvec needs a uniform-coupling problem")
-        mask = (problem.j != 0.0).astype(np.float64)
-        edge_value = float(problem.edge_value)
-
-        def matvec(x, out):
-            np.dot(mask, x, out=out)
-            out *= edge_value
-
-    elif mm_mode == "dense":
-        j = problem.j
-
-        def matvec(x, out):
-            np.dot(j, x, out=out)
-
-    else:
-        raise ValueError(f"unknown mm_mode {mm_mode!r}")
-
+def _setup(problem: IsingProblem, params: SbParams):
+    """Per-step constants: the bias increment and the coupling scale."""
     c0 = params.coupling_scale if params.coupling_scale is not None else default_coupling_scale(problem)
     h_eff = problem.h * (c0 / params.eta) if params.bias_conditioning else problem.h
     bias_step = (params.dt * params.eta) * h_eff
-    return matvec, bias_step, c0
+    return bias_step, c0
 
 
-def _advance(x, p, mm, scratch, k, matvec, bias_step, c0, params) -> None:
+def _advance(x, p, mm, scratch, k, j, bias_step, c0, params) -> None:
     """One in-place bSB step on (x, p); raises DivergenceError if non-finite."""
     if params.n_steps > 1:
         alpha_k = params.alpha0 * (k / (params.n_steps - 1))
     else:
         alpha_k = 0.0
-    matvec(x, mm)
+    np.dot(j, x, out=mm)
     np.multiply(x, params.dt * (alpha_k - params.alpha0), out=scratch)
     p += scratch
     p += bias_step
@@ -205,16 +183,16 @@ def _advance(x, p, mm, scratch, k, matvec, bias_step, c0, params) -> None:
         p[over] = 0.0
 
 
-def sb_step(state: SbState, problem: IsingProblem, params: SbParams, k: int, mm_mode: str = "auto") -> SbState:
+def sb_step(state: SbState, problem: IsingProblem, params: SbParams, k: int) -> SbState:
     """Single reference step; returns a new state with ``step = k + 1``."""
     x = np.array(state.x, dtype=np.float64)
     p = np.array(state.p, dtype=np.float64)
     if x.shape != (problem.n_spins,) or p.shape != (problem.n_spins,):
         raise ValueError("state size does not match problem")
-    matvec, bias_step, c0 = _setup(problem, params, mm_mode)
+    bias_step, c0 = _setup(problem, params)
     mm = np.empty_like(x)
     scratch = np.empty_like(x)
-    _advance(x, p, mm, scratch, k, matvec, bias_step, c0, params)
+    _advance(x, p, mm, scratch, k, problem.j, bias_step, c0, params)
     return SbState(x=x, p=p, step=k + 1)
 
 
@@ -228,12 +206,12 @@ def digitize(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1, -1).astype(np.int8)
 
 
-def sb_solve(problem: IsingProblem, params: SbParams, threads: int = 1, mm_mode: str = "auto") -> list[SbRunResult]:
+def sb_solve(problem: IsingProblem, params: SbParams) -> list[SbRunResult]:
     """Run ``params.restarts`` independent restarts; results in run order.
 
     A diverging run is returned flagged as failed; the others proceed.
     """
-    matvec, bias_step, c0 = _setup(problem, params, mm_mode)
+    bias_step, c0 = _setup(problem, params)
 
     def run_one(r: int) -> SbRunResult:
         key = run_seed_key(params.seed, r)
@@ -244,7 +222,7 @@ def sb_solve(problem: IsingProblem, params: SbParams, threads: int = 1, mm_mode:
         scratch = np.empty_like(x)
         try:
             for k in range(params.n_steps):
-                _advance(x, p, mm, scratch, k, matvec, bias_step, c0, params)
+                _advance(x, p, mm, scratch, k, problem.j, bias_step, c0, params)
         except DivergenceError as exc:
             return SbRunResult(
                 spins=None, energy=math.nan, decoded=None,
@@ -259,18 +237,11 @@ def sb_solve(problem: IsingProblem, params: SbParams, threads: int = 1, mm_mode:
             seed_used=key,
         )
 
-    if threads <= 1:
-        return [run_one(r) for r in range(params.restarts)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run_one, range(params.restarts)))
+    return [run_one(r) for r in range(params.restarts)]
 
 
 def solve_mis_sb_runs(
-    graph: MarketGraph,
-    params: SbParams,
-    threads: int = 1,
-    repair: bool = False,
-    mm_mode: str = "auto",
+    graph: MarketGraph, params: SbParams, repair: bool = False
 ) -> tuple[MisSolution, list[SbRunResult]]:
     """Full pipeline: encode, solve, verify each run, keep the best.
 
@@ -278,7 +249,7 @@ def solve_mis_sb_runs(
     they are patched (drop a violating endpoint, extend greedily) first.
     """
     problem = qubo_to_ising(to_qubo(graph))
-    runs = sb_solve(problem, params, threads=threads, mm_mode=mm_mode)
+    runs = sb_solve(problem, params)
     candidates = []
     for run in runs:
         if run.failed:
@@ -293,6 +264,6 @@ def solve_mis_sb_runs(
     return best, runs
 
 
-def solve_mis_sb(graph: MarketGraph, params: SbParams, threads: int = 1, repair: bool = False) -> MisSolution:
-    best, _ = solve_mis_sb_runs(graph, params, threads=threads, repair=repair)
+def solve_mis_sb(graph: MarketGraph, params: SbParams, repair: bool = False) -> MisSolution:
+    best, _ = solve_mis_sb_runs(graph, params, repair=repair)
     return best

@@ -138,6 +138,19 @@ def test_rebalance_identity_value_after_equals_before_minus_cost():
     assert held == pytest.approx(out.value, rel=1e-9)
 
 
+@pytest.mark.parametrize("cost_rate", [-0.001, 1.0, 2.0])
+def test_rebalance_rejects_cost_rate_outside_unit_interval(cost_rate):
+    prev = Portfolio(month="m0", holdings={"A": 1.0}, shares={"A": 1.0}, value=100.0)
+    with pytest.raises(ValueError, match="cost_rate"):
+        rebalance(prev, {"B": 1.0}, {"A": 100.0, "B": 10.0}, cost_rate)
+
+
+@pytest.mark.parametrize("cost_rate", [-0.001, 1.0, 2.0])
+def test_config_rejects_cost_rate_outside_unit_interval(cost_rate):
+    with pytest.raises(ValueError, match="cost_rate"):
+        BacktestConfig(theta=0.25, cost_rate=cost_rate)
+
+
 def test_rebalance_missing_price_names_ticker_and_month():
     prev = Portfolio(month="m0", holdings={}, shares={"A": 1.0}, value=0.0)
     with pytest.raises(DataError, match="A.*2020-03"):
@@ -396,14 +409,17 @@ def test_sweep_propagates_errors_per_setting_and_continues():
     assert all(r.error is not None and "node_limit" in r.error for r in rows)
 
 
-def test_sweep_threaded_matches_serial():
+def test_sweep_raises_programming_errors(monkeypatch):
+    from misfolio import backtest
+
+    def broken(panel, config):
+        raise TypeError("bad call")
+
+    monkeypatch.setattr(backtest, "run_backtest", broken)
     panel = synth_panel(6, 380, 2, seed=15)
     config = BacktestConfig(theta=0.2, lookback_days=126, solver="greedy")
-    serial = sweep_theta(panel, config, [0.2, 0.3], ["ew", "ivw"], threads=1)
-    threaded = sweep_theta(panel, config, [0.2, 0.3], ["ew", "ivw"], threads=4)
-    assert [(r.theta, r.weighting, r.sharpe, r.size_avg) for r in serial] == [
-        (r.theta, r.weighting, r.sharpe, r.size_avg) for r in threaded
-    ]
+    with pytest.raises(TypeError, match="bad call"):
+        sweep_theta(panel, config, [0.2, 0.3], ["ew"])
 
 
 # --- differential factor analysis ---------------------------------------------

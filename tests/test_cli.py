@@ -139,6 +139,18 @@ def test_backtest_writes_schema_compliant_report_and_cumulative_csv(tmp_path):
     assert len(cum) == len(report["months"]) + 1
 
 
+def test_backtest_cost_of_whole_turnover_is_rejected(tmp_path):
+    prices = synth(tmp_path, stocks=4, days=300)
+    out = tmp_path / "report.json"
+    r = run_cli(
+        "backtest", "--prices", prices, "--theta", 0.25, "--cost-bps", 10000,
+        "--window-days", 63, "--solver", "greedy", "--out", out,
+    )
+    assert r.returncode == 1
+    assert "cost_rate" in r.stderr
+    assert not out.exists()
+
+
 def test_backtest_single_stock_zero_cost_is_buy_and_hold(tmp_path):
     prices = synth(tmp_path, stocks=1, days=300, factors=1)
     out = tmp_path / "report.json"

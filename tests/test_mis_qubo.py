@@ -94,7 +94,7 @@ def ising_energies_all(problem, spins_rows):
 
 
 def test_all_zero_qubo_maps_to_zero_ising():
-    q = QuboProblem(n_bits=3, quad={}, linear=np.zeros(3))
+    q = QuboProblem(n_bits=3, adjacency=np.zeros((3, 3)), linear=np.zeros(3))
     p = qubo_to_ising(q)
     assert np.array_equal(p.j, np.zeros((3, 3)))
     assert np.array_equal(p.h, np.zeros(3))
@@ -102,7 +102,7 @@ def test_all_zero_qubo_maps_to_zero_ising():
 
 
 def test_single_bit_qubo_bias_points_up():
-    q = QuboProblem(n_bits=1, quad={}, linear=np.array([-1.0]))
+    q = QuboProblem(n_bits=1, adjacency=np.zeros((1, 1)), linear=np.array([-1.0]))
     p = qubo_to_ising(q)
     assert p.h[0] == 0.5  # positive bias favors s = +1
     assert p.offset == -0.5
@@ -133,8 +133,40 @@ def test_equivalence_exhaustive_random_graphs(n, seed):
 
 
 def test_edge_value_set_for_uniform_couplings():
-    p = qubo_to_ising(to_qubo(er_graph(8, 0.5, seed=1)))
-    assert p.edge_value == -0.5
+    g = er_graph(8, 0.5, seed=1)
+    p = qubo_to_ising(to_qubo(g))
+    assert np.array_equal(p.j, -0.5 * g.adjacency_matrix)
+
+
+@pytest.mark.parametrize(
+    "adjacency",
+    [
+        [[0.0, 2.0], [2.0, 0.0]],  # not 0/1
+        [[0.0, 1.0], [0.0, 0.0]],  # not symmetric
+        [[1.0, 0.0], [0.0, 0.0]],  # self-loop
+    ],
+)
+def test_qubo_rejects_malformed_adjacency(adjacency):
+    with pytest.raises(ValueError):
+        QuboProblem(n_bits=2, adjacency=np.array(adjacency), linear=np.full(2, -1.0))
+
+
+def test_closed_form_matches_per_edge_expansion():
+    # reference: expand b = (s+1)/2 one edge at a time, at a penalty whose
+    # quarter is not a power of two
+    g = er_graph(15, 0.4, seed=5)
+    q = to_qubo(g, penalty=2.2, reward=1.3)
+    p = qubo_to_ising(q)
+    j, h = np.zeros((15, 15)), -q.linear / 2.0
+    offset = float(q.linear.sum()) / 2.0
+    for a, b in g.edges():
+        j[a, b] = j[b, a] = -2.2 / 4.0
+        h[a] -= 2.2 / 4.0
+        h[b] -= 2.2 / 4.0
+        offset += 2.2 / 4.0
+    assert np.array_equal(p.j, j)
+    assert np.allclose(p.h, h, rtol=0, atol=1e-12)
+    assert p.offset == pytest.approx(offset, abs=1e-12)
 
 
 # --- decode / verify ---------------------------------------------------------
