@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import os
+import statistics
 import sys
 import time
 
@@ -151,6 +152,12 @@ def cmd_solve(args, parser) -> int:
                     f"run {run.run_index}: energy {run.energy:g}, size {run.decoded.size}, "
                     f"feasible {run.decoded.feasible}"
                 )
+        sizes = [run.decoded.size for run in runs if not run.failed and run.decoded.feasible]
+        best, median = (f"{max(sizes)}", f"{statistics.median(sizes):g}") if sizes else ("-", "-")
+        print(
+            f"restarts: {len(sizes)}/{len(runs)} feasible before repair, "
+            f"best size {best}, median size {median}"
+        )
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(solution.to_json_dict(graph.tickers), fh, indent=2)
         fh.write("\n")

@@ -115,8 +115,20 @@ def test_solve_sb_prints_per_run_energies_and_is_deterministic(tmp_path):
     r1 = run_cli("--seed", 5, "solve", "--graph", g, "--solver", "sb", "--restarts", 10, "--out", out1)
     r2 = run_cli("--seed", 5, "solve", "--graph", g, "--solver", "sb", "--restarts", 10, "--out", out2)
     assert r1.returncode == 0 and r2.returncode == 0
-    assert sum(1 for line in r1.stdout.splitlines() if line.startswith("run ")) == 10
+    lines = r1.stdout.splitlines()
+    run_lines = [line for line in lines if line.startswith("run ")]
+    assert len(run_lines) == 10
     assert out1.read_bytes() == out2.read_bytes()
+    # one summary line follows the run lines: feasible k/R, best and median size
+    sizes = sorted(
+        int(line.split("size ")[1].split(",")[0]) for line in run_lines if line.endswith("feasible True")
+    )
+    assert sizes
+    median = (sizes[(len(sizes) - 1) // 2] + sizes[len(sizes) // 2]) / 2
+    assert lines[len(run_lines)] == (
+        f"restarts: {len(sizes)}/10 feasible before repair, "
+        f"best size {sizes[-1]}, median size {median:g}"
+    )
 
 
 # --- backtest ------------------------------------------------------------------------

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import all_bit_configs, er_graph
-from misfolio.market_graph import graph_from_edges
+from misfolio.market_graph import build_graph, graph_from_edges
 from misfolio.mis_qubo import IsingProblem, ising_energy, qubo_to_ising, solve_exact, to_qubo, verify
 from misfolio.sb_solver import (
     SbParams,
     SbState,
+    _advance,
+    _setup,
     default_coupling_scale,
     digitize,
     params_from_json,
@@ -21,6 +23,7 @@ from misfolio.sb_solver import (
     solve_mis_sb,
     solve_mis_sb_runs,
 )
+from misfolio.timeseries import correlation, log_returns, synth_panel
 
 
 def ising(j, h, offset=0.0):
@@ -85,13 +88,23 @@ def test_params_json_round_trip_keeps_every_field(tmp_path):
     assert params_from_json(path) == saved
 
 
-def test_default_coupling_scale_prescription():
-    g = er_graph(10, 0.4, seed=0)
-    problem = qubo_to_ising(to_qubo(g))
+def masked_coupling_scale(problem):
+    """The prescription as stated: rms over the off-diagonal entries of J."""
     n = problem.n_spins
     off = problem.j[~np.eye(n, dtype=bool)]
     rms = math.sqrt(float(np.mean(off * off)))
-    assert default_coupling_scale(problem) == pytest.approx(1.5 / (rms * math.sqrt(n)))
+    return 1.5 / (rms * math.sqrt(n))
+
+
+def test_default_coupling_scale_prescription():
+    g = er_graph(10, 0.4, seed=0)
+    problem = qubo_to_ising(to_qubo(g))
+    assert default_coupling_scale(problem) == pytest.approx(masked_coupling_scale(problem))
+    # MIS couplings square to 0.25 or 0, so every sum is exact
+    problem = qubo_to_ising(to_qubo(er_graph(300, 0.3, seed=1)))
+    assert default_coupling_scale(problem) == masked_coupling_scale(problem)
+    problem = random_problem(300, seed=2)
+    assert default_coupling_scale(problem) == pytest.approx(masked_coupling_scale(problem), rel=1e-15)
     # degenerate case: no couplings at all
     assert default_coupling_scale(ising(np.zeros((3, 3)), np.ones(3))) == 1.0
 
@@ -211,6 +224,77 @@ def test_sb_solve_equals_composed_sb_steps():
         for k in range(300):
             state = sb_step(state, problem, params, k)
         assert np.array_equal(digitize(state.x), runs[r].spins)
+
+
+def initial_state(seed, r, n):
+    rng = np.random.Generator(np.random.Philox(key=run_seed_key(seed, r)))
+    return rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+
+
+def reference_run(problem, params, r):
+    """One restart on 1-D arrays: the module docstring's four steps with ``J @ x``.
+
+    Scalar factors are grouped as the solver groups them, so the only
+    difference left is the matrix product (``J @ x`` here, one row of
+    ``X @ J`` in the solver).
+    """
+    x, p = initial_state(params.seed, r, problem.n_spins)
+    c0 = default_coupling_scale(problem)
+    bias_step = (params.dt * params.eta) * (problem.h * (c0 / params.eta))
+    for k in range(params.n_steps):
+        alpha_k = params.alpha0 * (k / (params.n_steps - 1))
+        mm = problem.j @ x
+        p += (params.dt * (alpha_k - params.alpha0)) * x
+        p += bias_step
+        p += (params.dt * c0) * mm
+        x += params.dt * p
+        over = np.abs(x) > 1.0
+        x[over] = np.sign(x[over])
+        p[over] = 0.0
+    return x
+
+
+def synth_market_graph():
+    panel = synth_panel(120, 300, 3, seed=21)
+    returns = log_returns(panel)
+    return build_graph(correlation(returns, returns.n_rows), 0.25)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [er_graph(12, 0.4, seed=4), er_graph(40, 0.3, seed=5), er_graph(200, 0.2, seed=6), synth_market_graph()],
+    ids=["er12", "er40", "er200", "market120"],
+)
+def test_batched_restarts_match_single_run_reference(graph):
+    problem = qubo_to_ising(to_qubo(graph))
+    params = SbParams(restarts=10, seed=3)
+    runs = sb_solve(problem, params)
+    refs = [reference_run(problem, params, r) for r in range(10)]
+    for run, ref in zip(runs, refs):
+        assert np.array_equal(run.spins, digitize(ref))
+
+    # final positions of the (R, n) kernel, stepped from the same seeds
+    x, p = map(np.stack, zip(*(initial_state(3, r, problem.n_spins) for r in range(10))))
+    bias_step, c0 = _setup(problem, params)
+    mm, scratch = np.empty_like(x), np.empty_like(x)
+    for k in range(params.n_steps):
+        assert _advance(x, p, mm, scratch, k, problem.j, bias_step, c0, params).all()
+    assert np.max(np.abs(x - np.stack(refs))) <= 1e-9
+
+
+def test_nonfinite_row_does_not_reach_other_rows():
+    problem = qubo_to_ising(to_qubo(er_graph(40, 0.3, seed=7)))
+    params = SbParams(n_steps=50)
+    x, p = map(np.stack, zip(*(initial_state(0, r, 40) for r in range(3))))
+    x_nan, p_nan = x.copy(), p.copy()
+    x_nan[1, 5] = np.nan
+    bias_step, c0 = _setup(problem, params)
+    mm, scratch = np.empty_like(x), np.empty_like(x)
+    for k in range(params.n_steps):
+        _advance(x, p, mm, scratch, k, problem.j, bias_step, c0, params)
+        finite = _advance(x_nan, p_nan, mm, scratch, k, problem.j, bias_step, c0, params)
+    assert finite.tolist() == [True, False, True]
+    assert np.array_equal(x_nan[[0, 2]], x[[0, 2]]) and np.array_equal(p_nan[[0, 2]], p[[0, 2]])
 
 
 def test_diverging_run_is_flagged_not_fatal():
