@@ -13,9 +13,10 @@ Each month-end with enough trailing history:
 
 Accounting: the post-rebalance value satisfies
 ``value_after = value_before - cost_rate * turnover`` with the new
-holdings worth exactly ``value_after`` (targets and cost are solved
-jointly by fixed-point iteration, which converges immediately since the
-cost rate is tiny).
+holdings worth ``value_after`` to rounding (targets and cost are solved
+jointly by Newton's method on the piecewise-linear cost equation, exact
+after at most one step per name plus one, for any ``cost_rate``
+in [0, 1)).
 
 Months where no feasible non-empty selection exists keep the previous
 portfolio untouched (no trade, no cost) and are flagged.
@@ -83,8 +84,14 @@ class BacktestConfig:
             raise ValueError(f"unknown weighting {self.weighting!r}")
         if self.solver not in ("sb", "greedy", "exact"):
             raise ValueError(f"unknown solver {self.solver!r}")
+        if self.lookback_days < 1:
+            raise ValueError("lookback_days must be >= 1")
         if self.lookback_months is not None and self.lookback_months < 1:
             raise ValueError("lookback_months must be >= 1 when set")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        if not (math.isfinite(self.initial_value) and self.initial_value > 0):
+            raise ValueError(f"initial_value must be finite and positive, got {self.initial_value}")
 
 
 @dataclass
@@ -238,18 +245,22 @@ def rebalance(
 
     current = {t: s * prices[t] for t, s in prev.shares.items()}
     value_before = sum(current.values()) if prev.shares else prev.value
-    tickers = set(current) | set(new_weights)
 
+    # the cost solves cost = cost_rate * sum_t |w_t (value_before - cost) - current_t|;
+    # the gap between the sides is concave, piecewise linear and increasing
+    # (slope >= 1 - cost_rate > 0), so Newton from 0 climbs onto the root one
+    # linear piece per step
+    names = sorted(set(current) | set(new_weights))
+    weight = [new_weights.get(t, 0.0) for t in names]
+    held = [current.get(t, 0.0) for t in names]
     cost = 0.0
-    for _ in range(200):
-        v_post = value_before - cost
-        turnover = sum(
-            abs(new_weights.get(t, 0.0) * v_post - current.get(t, 0.0)) for t in sorted(tickers)
-        )
-        new_cost = cost_rate * turnover
+    for _ in range(len(names) + 2):
+        gaps = [w * (value_before - cost) - c for w, c in zip(weight, held)]
+        new_cost = cost_rate * sum(abs(g) for g in gaps)
         if new_cost == cost:
             break
-        cost = new_cost
+        # a name on its kink (g == 0) takes the slope of the piece above the cost
+        cost += (new_cost - cost) / (1.0 + cost_rate * sum(w if g > 0 else -w for w, g in zip(weight, gaps)))
     v_post = value_before - cost
 
     shares: dict[str, float] = {}
@@ -259,9 +270,7 @@ def rebalance(
             shares[t] = prev.shares[t]
         else:
             shares[t] = target / prices[t]
-    turnover = sum(
-        abs(new_weights.get(t, 0.0) * v_post - current.get(t, 0.0)) for t in sorted(tickers)
-    )
+    turnover = sum(abs(w * v_post - c) for w, c in zip(weight, held))
     cost = cost_rate * turnover
     portfolio = Portfolio(month=month, holdings=dict(new_weights), shares=shares, value=value_before - cost)
     return portfolio, turnover, cost

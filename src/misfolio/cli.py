@@ -145,14 +145,11 @@ def cmd_solve(args, parser) -> int:
         params = SbParams(restarts=args.restarts, seed=args.seed)
         solution, runs = solve_mis_sb_runs(graph, params)
         for run in runs:
-            if run.failed:
-                print(f"run {run.run_index}: failed (diverged at step {run.fail_step})")
-            else:
-                print(
-                    f"run {run.run_index}: energy {run.energy:g}, size {run.decoded.size}, "
-                    f"feasible {run.decoded.feasible}"
-                )
-        sizes = [run.decoded.size for run in runs if not run.failed and run.decoded.feasible]
+            print(
+                f"run {run.run_index}: energy {run.energy:g}, size {run.decoded.size}, "
+                f"feasible {run.decoded.feasible}"
+            )
+        sizes = [run.decoded.size for run in runs if run.decoded.feasible]
         best, median = (f"{max(sizes)}", f"{statistics.median(sizes):g}") if sizes else ("-", "-")
         print(
             f"restarts: {len(sizes)}/{len(runs)} feasible before repair, "

@@ -20,6 +20,7 @@ and ``offset = penalty*|E|/4 - n*reward/2``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -67,7 +68,7 @@ class QuboProblem:
 
 @dataclass(frozen=True, eq=False)
 class IsingProblem:
-    """Symmetric coupling matrix J (zero diagonal), bias h, energy offset."""
+    """Symmetric coupling matrix J (zero diagonal), bias h, energy offset; all finite."""
 
     n_spins: int
     j: np.ndarray
@@ -81,6 +82,9 @@ class IsingProblem:
         object.__setattr__(self, "h", h)
         if j.shape != (self.n_spins, self.n_spins) or h.shape != (self.n_spins,):
             raise ValueError("J/h shapes must match n_spins")
+        # one scalar catches inf/NaN entries and a Frobenius norm that overflows
+        if not (math.isfinite(float(np.vdot(j, j))) and np.isfinite(h).all() and math.isfinite(self.offset)):
+            raise ValueError("J, h and offset must be finite, and sum(J**2) must not overflow")
         if np.any(np.diagonal(j) != 0.0) or not np.array_equal(j, j.T):
             raise ValueError("J must be symmetric with zero diagonal")
 

@@ -48,9 +48,16 @@ step is a fixed sequence of operations, so the same problem, params and
 seed give bit-identical results.  A restart's last bits can depend on
 ``restarts``, though: the BLAS blocks the product by the row count, and
 summation order follows the blocking (with OpenBLAS 0.3.31 at n=2048,
-``(X @ J)[:1]`` differs from ``X[:1] @ J`` in the last bits).  Rows of
-the product do not mix, so a run whose state turns non-finite is flagged
-at its first failing step and the other runs are unaffected.
+``(X @ J)[:1]`` differs from ``X[:1] @ J`` in the last bits).
+
+Input validation
+----------------
+The walls hold every position in [-1, 1] and ``|(J x)_i| <= sqrt(n) |J|_F``,
+so one momentum kick is at most
+``dt * (alpha0 + c0 * sqrt(n) * |J|_F) + max |bias step|``.  ``SbParams``
+and ``IsingProblem`` reject non-finite values, and ``sb_solve``/``sb_step``
+reject a problem and params whose kicks over ``n_steps`` could overflow.
+A run's state therefore stays finite, and no step checks it.
 """
 
 from __future__ import annotations
@@ -65,7 +72,6 @@ from .market_graph import MarketGraph
 from .mis_qubo import (
     IsingProblem,
     MisSolution,
-    NO_FEASIBLE,
     decode,
     ising_energy,
     qubo_to_ising,
@@ -77,14 +83,6 @@ from .mis_qubo import (
 
 _MASK64 = (1 << 64) - 1
 DEFAULT_COUPLING_KAPPA = 1.5
-
-
-class DivergenceError(RuntimeError):
-    """State left the finite range; carries the failing step index."""
-
-    def __init__(self, step: int):
-        super().__init__(f"non-finite state at step {step}")
-        self.step = step
 
 
 @dataclass(frozen=True)
@@ -103,10 +101,12 @@ class SbParams:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.dt <= 0 or self.alpha0 <= 0 or self.eta <= 0:
-            raise ValueError("dt, alpha0 and eta must be positive")
-        if self.coupling_scale is not None and self.coupling_scale <= 0:
-            raise ValueError("coupling_scale must be positive (or None for the default)")
+        positive = {"dt": self.dt, "eta": self.eta, "alpha0": self.alpha0}
+        if self.coupling_scale is not None:  # None selects the default
+            positive["coupling_scale"] = self.coupling_scale
+        for name, value in positive.items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -143,13 +143,13 @@ class SbState:
 class SbRunResult:
     """One restart: final spins, energy, decoded candidate set."""
 
-    spins: np.ndarray | None
+    spins: np.ndarray
     energy: float
-    decoded: MisSolution | None
+    decoded: MisSolution
     run_index: int
     seed_used: int
+    #: always False, since inputs are validated before a run; the benchmark's solve check still reads it
     failed: bool = False
-    fail_step: int | None = None
 
 
 def default_coupling_scale(problem: IsingProblem) -> float:
@@ -164,18 +164,23 @@ def default_coupling_scale(problem: IsingProblem) -> float:
 
 
 def _setup(problem: IsingProblem, params: SbParams):
-    """Per-step constants: the bias increment and the coupling scale."""
+    """Per-step constants: the bias increment and the coupling scale.
+
+    Raises ValueError if the momentum could overflow (module docstring).
+    """
     c0 = params.coupling_scale if params.coupling_scale is not None else default_coupling_scale(problem)
     h_eff = problem.h * (c0 / params.eta) if params.bias_conditioning else problem.h
     bias_step = (params.dt * params.eta) * h_eff
+    mm_bound = math.sqrt(problem.n_spins * float(np.vdot(problem.j, problem.j)))
+    kick = params.dt * (params.alpha0 + c0 * mm_bound) + float(np.max(np.abs(bias_step), initial=0.0))
+    # |p| <= 1 + n_steps * kick, and x moves by dt * p before the walls
+    if not math.isfinite(max(1.0, params.dt) * (1.0 + params.n_steps * kick)):
+        raise ValueError(f"bSB state could overflow: momentum kick bound {kick:g} over {params.n_steps} steps")
     return bias_step, c0
 
 
-def _advance(x, p, mm, scratch, k, j, bias_step, c0, params) -> np.ndarray:
-    """One in-place bSB step on the ``(R, n)`` state (x, p).
-
-    Returns the mask of rows whose positions were finite before the walls.
-    """
+def _advance(x, p, mm, scratch, k, j, bias_step, c0, params) -> None:
+    """One in-place bSB step on the ``(R, n)`` state (x, p)."""
     if params.n_steps > 1:
         alpha_k = params.alpha0 * (k / (params.n_steps - 1))
     else:
@@ -188,27 +193,23 @@ def _advance(x, p, mm, scratch, k, j, bias_step, c0, params) -> np.ndarray:
     p += scratch
     np.multiply(p, params.dt, out=scratch)
     x += scratch
-    finite = np.isfinite(x).all(axis=1)
     over = np.abs(x) > 1.0
     if over.any():
         x[over] = np.copysign(1.0, x[over])
         p[over] = 0.0
-    return finite
 
 
 def sb_step(state: SbState, problem: IsingProblem, params: SbParams, k: int) -> SbState:
-    """Single reference step; returns a new state with ``step = k + 1``.
-
-    Raises DivergenceError if the state turns non-finite.
-    """
+    """Single reference step; returns a new state with ``step = k + 1``."""
     x = np.array(state.x, dtype=np.float64)
     p = np.array(state.p, dtype=np.float64)
     if x.shape != (problem.n_spins,) or p.shape != (problem.n_spins,):
         raise ValueError("state size does not match problem")
+    if not (np.isfinite(x).all() and np.isfinite(p).all()):
+        raise ValueError("state must be finite")
     bias_step, c0 = _setup(problem, params)
     xs, ps = x[np.newaxis], p[np.newaxis]  # one-row views of x and p
-    if not _advance(xs, ps, np.empty_like(xs), np.empty_like(xs), k, problem.j, bias_step, c0, params)[0]:
-        raise DivergenceError(k)
+    _advance(xs, ps, np.empty_like(xs), np.empty_like(xs), k, problem.j, bias_step, c0, params)
     return SbState(x=x, p=p, step=k + 1)
 
 
@@ -223,36 +224,20 @@ def digitize(x: np.ndarray) -> np.ndarray:
 
 
 def sb_solve(problem: IsingProblem, params: SbParams) -> list[SbRunResult]:
-    """Run ``params.restarts`` restarts as one batch; results in run order.
-
-    A diverging run is returned flagged as failed; the others proceed.
-    """
+    """Run ``params.restarts`` restarts as one batch; results in run order."""
     bias_step, c0 = _setup(problem, params)
     keys = [run_seed_key(params.seed, r) for r in range(params.restarts)]
     rngs = [np.random.Generator(np.random.Philox(key=key)) for key in keys]
     x = np.stack([rng.uniform(-1.0, 1.0, problem.n_spins) for rng in rngs])
     p = np.stack([rng.uniform(-1.0, 1.0, problem.n_spins) for rng in rngs])
     mm, scratch = np.empty_like(x), np.empty_like(x)
-    fail_step = np.full(params.restarts, -1)
     for k in range(params.n_steps):
-        finite = _advance(x, p, mm, scratch, k, problem.j, bias_step, c0, params)
-        if not finite.all():
-            fail_step[~finite & (fail_step < 0)] = k
+        _advance(x, p, mm, scratch, k, problem.j, bias_step, c0, params)
 
-    results = []
-    for r, key in enumerate(keys):
-        if fail_step[r] >= 0:
-            results.append(SbRunResult(
-                spins=None, energy=math.nan, decoded=None,
-                run_index=r, seed_used=key, failed=True, fail_step=int(fail_step[r]),
-            ))
-        else:
-            spins = digitize(x[r])
-            results.append(SbRunResult(
-                spins=spins, energy=ising_energy(problem, spins), decoded=decode(spins),
-                run_index=r, seed_used=key,
-            ))
-    return results
+    return [
+        SbRunResult(spins=s, energy=ising_energy(problem, s), decoded=decode(s), run_index=r, seed_used=key)
+        for r, (key, s) in enumerate(zip(keys, map(digitize, x)))
+    ]
 
 
 def solve_mis_sb_runs(
@@ -265,18 +250,13 @@ def solve_mis_sb_runs(
     """
     problem = qubo_to_ising(to_qubo(graph))
     runs = sb_solve(problem, params)
-    candidates = []
     for run in runs:
-        if run.failed:
-            continue
         ok, _ = verify(graph, run.decoded.selected)
         sol = replace(run.decoded, feasible=ok)
         if repair and not ok:
             sol = repair_solution(graph, sol)
         run.decoded = sol
-        candidates.append(sol)
-    best = select_best(candidates) if candidates else NO_FEASIBLE
-    return best, runs
+    return select_best(run.decoded for run in runs), runs
 
 
 def solve_mis_sb(graph: MarketGraph, params: SbParams, repair: bool = False) -> MisSolution:

@@ -138,6 +138,18 @@ def test_rebalance_identity_value_after_equals_before_minus_cost():
     assert held == pytest.approx(out.value, rel=1e-9)
 
 
+@pytest.mark.parametrize("cost_rate", [0.0, 0.001, 0.5, 0.9, 0.99, 0.999])
+def test_rebalance_accounting_holds_up_to_high_cost_rates(cost_rate):
+    # sell A and B, buy C: the post-cost value is 2 (1 - r) / (1 + r)
+    prev = Portfolio(month="m0", holdings={"A": 0.5, "B": 0.5}, shares={"A": 1.0, "B": 1.0}, value=2.0)
+    out, turnover, cost = rebalance(prev, {"C": 1.0}, {"A": 1.0, "B": 1.0, "C": 1.0}, cost_rate)
+    held = sum(s * 1.0 for s in out.shares.values())
+    assert out.value > 0
+    assert held == pytest.approx(out.value, rel=1e-12)
+    assert out.value == pytest.approx(2 * (1 - cost_rate) / (1 + cost_rate), rel=1e-12)
+    assert cost == cost_rate * turnover
+
+
 @pytest.mark.parametrize("cost_rate", [-0.001, 1.0, 2.0])
 def test_rebalance_rejects_cost_rate_outside_unit_interval(cost_rate):
     prev = Portfolio(month="m0", holdings={"A": 1.0}, shares={"A": 1.0}, value=100.0)
@@ -149,6 +161,22 @@ def test_rebalance_rejects_cost_rate_outside_unit_interval(cost_rate):
 def test_config_rejects_cost_rate_outside_unit_interval(cost_rate):
     with pytest.raises(ValueError, match="cost_rate"):
         BacktestConfig(theta=0.25, cost_rate=cost_rate)
+
+
+@pytest.mark.parametrize("initial_value", [math.nan, math.inf, 0.0, -1.0])
+def test_config_rejects_bad_initial_value(initial_value):
+    with pytest.raises(ValueError, match="initial_value"):
+        BacktestConfig(theta=0.25, initial_value=initial_value)
+
+
+def test_config_rejects_zero_restarts():
+    with pytest.raises(ValueError, match="restarts"):
+        BacktestConfig(theta=0.25, restarts=0)
+
+
+def test_config_rejects_zero_lookback_days():
+    with pytest.raises(ValueError, match="lookback_days"):
+        BacktestConfig(theta=0.25, lookback_days=0)
 
 
 def test_rebalance_missing_price_names_ticker_and_month():
