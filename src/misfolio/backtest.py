@@ -98,7 +98,6 @@ class BacktestConfig:
 class Portfolio:
     """Holdings after a rebalance: weights, share counts, and value."""
 
-    month: str
     holdings: dict[str, float]
     shares: dict[str, float]
     value: float
@@ -216,11 +215,6 @@ def _check_cost_rate(cost_rate: float) -> None:
         raise ValueError(f"cost_rate must lie in [0, 1), got {cost_rate}")
 
 
-def transaction_cost(buy_amount: float, sell_amount: float, cost_rate: float) -> float:
-    """Cost of a trade list: rate times (amount bought + |amount sold|)."""
-    return cost_rate * (buy_amount + abs(sell_amount))
-
-
 def rebalance(
     prev: Portfolio,
     new_weights: dict[str, float],
@@ -272,7 +266,7 @@ def rebalance(
             shares[t] = target / prices[t]
     turnover = sum(abs(w * v_post - c) for w, c in zip(weight, held))
     cost = cost_rate * turnover
-    portfolio = Portfolio(month=month, holdings=dict(new_weights), shares=shares, value=value_before - cost)
+    portfolio = Portfolio(holdings=dict(new_weights), shares=shares, value=value_before - cost)
     return portfolio, turnover, cost
 
 
@@ -318,103 +312,82 @@ def _solve_month(graph: market_graph.MarketGraph, config: BacktestConfig, month_
     return solve_mis_sb(graph, params)
 
 
+def _month_weights(
+    selection: mis_qubo.MisSolution,
+    window: timeseries.ReturnMatrix,
+    window_days: int,
+    config: BacktestConfig,
+    date: str,
+) -> dict[str, float] | None:
+    """Target weights for the month's selection, or None to hold the book."""
+    if selection.feasible is not True or selection.size == 0:
+        return None
+    names = [window.tickers[i] for i in selection.selected]
+    if config.weighting == "ew":
+        return weights_ew(names)
+    vols = timeseries.volatility(window, window_days)
+    vol_map = {window.tickers[i]: float(vols[i]) for i in selection.selected}
+    if config.drop_zero_vol:
+        kept = [t for t in names if vol_map[t] > 0.0]
+        if len(kept) < len(names):
+            logger.warning("%s: dropping zero-volatility names %s", date, sorted(set(names) - set(kept)))
+        names = kept
+    return weights_ivw(names, vol_map) if names else None
+
+
 def run_backtest(panel: PricePanel, config: BacktestConfig) -> BacktestReport:
     """Simulate the strategy over every eligible month-end of ``panel``."""
     returns = timeseries.log_returns(panel)
     all_ends = month_end_indices(panel.dates)
+    # (month-end index, trailing window length in return rows)
     if config.lookback_months is not None:
         # anchor each window to the month-end `lookback_months` back
-        ends = all_ends[config.lookback_months:]
-        window_of = {
-            di: di - all_ends[pos] for pos, di in enumerate(ends)
-        }
+        windows = [(di, di - all_ends[pos]) for pos, di in enumerate(all_ends[config.lookback_months:])]
     else:
-        ends = [i for i in all_ends if i >= config.lookback_days]
-        window_of = {di: config.lookback_days for di in ends}
-    if len(ends) < 2:
+        windows = [(di, config.lookback_days) for di in all_ends if di >= config.lookback_days]
+    if len(windows) < 2:
         raise InsufficientDataError(
             "panel must span the lookback plus at least two month-ends"
         )
 
-    portfolio = Portfolio(month="", holdings={}, shares={}, value=config.initial_value)
+    portfolio = Portfolio(holdings={}, shares={}, value=config.initial_value)
     records: list[MonthRecord] = []
-    prev_post_value: float | None = None
+    prev_value: float | None = None
 
-    for mi, di in enumerate(ends):
+    for mi, (di, window_days) in enumerate(windows):
         date = panel.dates[di]
-        prices = {t: float(panel.prices[di, k]) for k, t in enumerate(panel.tickers)}
-        value_open = (
-            sum(s * prices[t] for t, s in portfolio.shares.items())
-            if portfolio.shares
-            else portfolio.value
-        )
-        portfolio.value = value_open
-
         window = timeseries.ReturnMatrix(
             dates=returns.dates[:di], tickers=returns.tickers, values=returns.values[:di]
         )
-        window_days = window_of[di]
         corr = timeseries.correlation(window, window_days)
         graph = market_graph.build_graph(corr, config.theta)
         density = market_graph.edge_density(graph) if graph.n_nodes >= 2 else 0.0
+        weights = _month_weights(_solve_month(graph, config, mi), window, window_days, config, date)
 
-        selection = _solve_month(graph, config, mi)
-        weights = None
-        if selection.feasible is True and selection.size > 0:
-            names = [panel.tickers[i] for i in selection.selected]
-            if config.weighting == "ew":
-                weights = weights_ew(names)
-            else:
-                vols = timeseries.volatility(window, window_days)
-                vol_map = {t: float(vols[panel.tickers.index(t)]) for t in names}
-                if config.drop_zero_vol:
-                    kept = [t for t in names if vol_map[t] > 0.0]
-                    if len(kept) < len(names):
-                        logger.warning(
-                            "%s: dropping zero-volatility names %s",
-                            date,
-                            sorted(set(names) - set(kept)),
-                        )
-                    names = kept
-                if names:
-                    weights = weights_ivw(names, vol_map)
-
+        prices = dict(zip(panel.tickers, panel.prices[di].tolist()))
         if weights is None:
-            # hold: previous book rolls forward untouched, month flagged;
-            # month-end evaluation is the drifted value, no trades, no cost
-            ret = None if prev_post_value is None else monthly_return(prev_post_value, value_open)
-            records.append(
-                MonthRecord(
-                    date=date,
-                    ret=ret,
-                    n_constituents=len(portfolio.shares),
-                    edge_density=density,
-                    turnover=0.0,
-                    cost=0.0,
-                    feasible=False,
-                    weights=dict(portfolio.holdings),
-                )
-            )
-            prev_post_value = value_open
-            continue
-
-        portfolio, turnover, cost = rebalance(portfolio, weights, prices, config.cost_rate, month=date)
-        # month-end evaluation is net of this month's trading costs, so the
-        # return series carries the cost drag
-        ret = None if prev_post_value is None else monthly_return(prev_post_value, portfolio.value)
+            # hold: the book rolls forward untouched at month-end prices,
+            # no trades, no cost; the month is flagged infeasible
+            turnover = cost = 0.0
+            if portfolio.shares:
+                portfolio.value = sum(s * prices[t] for t, s in portfolio.shares.items())
+        else:
+            # the month-end value is net of this month's trading costs, so
+            # the return series carries the cost drag
+            portfolio, turnover, cost = rebalance(portfolio, weights, prices, config.cost_rate, month=date)
         records.append(
             MonthRecord(
                 date=date,
-                ret=ret,
-                n_constituents=len(weights),
+                ret=None if prev_value is None else monthly_return(prev_value, portfolio.value),
+                n_constituents=len(portfolio.shares),
                 edge_density=density,
                 turnover=turnover,
                 cost=cost,
-                feasible=True,
-                weights=dict(weights),
+                feasible=weights is not None,
+                weights=dict(portfolio.holdings),
             )
         )
-        prev_post_value = portfolio.value
+        prev_value = portfolio.value
 
     rets = [m.ret for m in records if m.ret is not None]
     summary = summarize(rets) if len(rets) >= MONTHS_PER_YEAR else None
@@ -467,8 +440,8 @@ class SweepRow:
     density_max: float = math.nan
     density_min: float = math.nan
     density_avg: float = math.nan
-    size_max: int = 0
-    size_min: int = 0
+    size_max: int | None = None
+    size_min: int | None = None
     size_avg: float = math.nan
     size_sd: float = math.nan
     annual_return: float = math.nan

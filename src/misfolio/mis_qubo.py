@@ -43,11 +43,9 @@ class SolveTimeout(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class QuboProblem:
     """MIS cost over bits: ``penalty`` on each edge of the 0/1 ``adjacency``
-    matrix (symmetric, zero diagonal) plus per-bit ``linear`` terms."""
+    matrix (symmetric, zero diagonal) and ``-reward`` on each bit."""
 
-    n_bits: int
     adjacency: np.ndarray
-    linear: np.ndarray
     penalty: float = DEFAULT_PENALTY
     reward: float = DEFAULT_REWARD
 
@@ -57,13 +55,11 @@ class QuboProblem:
                 f"need 0 < reward < penalty, got reward={self.reward}, penalty={self.penalty}"
             )
         a = np.asarray(self.adjacency, dtype=np.float64)
-        linear = np.asarray(self.linear, dtype=np.float64)
-        if a.shape != (self.n_bits, self.n_bits) or linear.shape != (self.n_bits,):
-            raise ValueError("adjacency/linear shapes must match n_bits")
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"adjacency must be a square matrix, got shape {a.shape}")
         if np.any((a != 0.0) & (a != 1.0)) or np.any(np.diagonal(a) != 0.0) or not np.array_equal(a, a.T):
             raise ValueError("adjacency must be a symmetric 0/1 matrix with zero diagonal")
         object.__setattr__(self, "adjacency", a)
-        object.__setattr__(self, "linear", linear)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,13 +111,7 @@ NO_FEASIBLE = MisSolution(selected=(), size=0, feasible=False, source="none")
 
 def to_qubo(graph: MarketGraph, penalty: float = DEFAULT_PENALTY, reward: float = DEFAULT_REWARD) -> QuboProblem:
     """Encode MIS on ``graph``: +penalty per selected edge, -reward per node."""
-    return QuboProblem(
-        n_bits=graph.n_nodes,
-        adjacency=graph.adjacency_matrix,
-        linear=np.full(graph.n_nodes, -reward),
-        penalty=penalty,
-        reward=reward,
-    )
+    return QuboProblem(adjacency=graph.adjacency_matrix, penalty=penalty, reward=reward)
 
 
 def qubo_cost(problem: QuboProblem, bits) -> float:
@@ -129,23 +119,24 @@ def qubo_cost(problem: QuboProblem, bits) -> float:
 
 
 def qubo_cost_many(problem: QuboProblem, bit_rows: np.ndarray) -> np.ndarray:
-    """Vectorized cost for a (m, n_bits) matrix of configurations."""
+    """Vectorized cost for a (m, n) matrix of configurations."""
     b = np.asarray(bit_rows, dtype=np.float64)
     # each selected edge appears twice in b A b'
     selected_edges = ((b @ problem.adjacency) * b).sum(axis=1) / 2.0
-    return b @ problem.linear + problem.penalty * selected_edges
+    return b @ np.full(len(problem.adjacency), -problem.reward) + problem.penalty * selected_edges
 
 
 def qubo_to_ising(problem: QuboProblem) -> IsingProblem:
     """Closed form of ``b = (s+1)/2`` (see the module docstring)."""
     a = problem.adjacency
+    n = len(a)
     deg = a.sum(axis=1)
     # not -(penalty/4) * a, which would put -0.0 on every non-edge
     j = np.where(a != 0.0, -problem.penalty / 4.0, 0.0)
-    h = -problem.linear / 2.0 - problem.penalty * deg / 4.0
+    h = problem.reward / 2.0 - problem.penalty * deg / 4.0
     n_edges = float(deg.sum()) / 2.0
-    offset = float(problem.linear.sum()) / 2.0 + problem.penalty * n_edges / 4.0
-    return IsingProblem(n_spins=problem.n_bits, j=j, h=h, offset=offset)
+    offset = float(np.full(n, -problem.reward).sum()) / 2.0 + problem.penalty * n_edges / 4.0
+    return IsingProblem(n_spins=n, j=j, h=h, offset=offset)
 
 
 def ising_energy(problem: IsingProblem, spins) -> float:

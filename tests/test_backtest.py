@@ -1,9 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from misfolio.backtest import (
+    SWEEP_COLUMNS,
     AccountingError,
     Summary,
     BacktestConfig,
@@ -21,9 +23,9 @@ from misfolio.backtest import (
     run_backtest,
     summarize,
     sweep_theta,
-    transaction_cost,
     weights_ew,
     weights_ivw,
+    write_sweep_csv,
 )
 from misfolio.market_graph import build_graph
 from misfolio.mis_qubo import verify
@@ -95,12 +97,8 @@ def test_weights_ivw_zero_vol_names_ticker():
 
 # --- rebalance accounting -----------------------------------------------------
 
-def test_transaction_cost_formula():
-    assert transaction_cost(50.0, 30.0, 0.001) == pytest.approx(0.08)
-
-
 def test_rebalance_no_trade_when_weights_match():
-    prev = Portfolio(month="m0", holdings={"A": 0.5, "B": 0.5}, shares={"A": 2.0, "B": 1.0}, value=100.0)
+    prev = Portfolio(holdings={"A": 0.5, "B": 0.5}, shares={"A": 2.0, "B": 1.0}, value=100.0)
     prices = {"A": 25.0, "B": 50.0}  # both positions worth exactly 50
     out, turnover, cost = rebalance(prev, {"A": 0.5, "B": 0.5}, prices, 0.001)
     assert turnover == 0.0 and cost == 0.0
@@ -109,7 +107,7 @@ def test_rebalance_no_trade_when_weights_match():
 
 
 def test_rebalance_full_liquidation_costs_about_two_legs():
-    prev = Portfolio(month="m0", holdings={"A": 1.0}, shares={"A": 1.0}, value=100.0)
+    prev = Portfolio(holdings={"A": 1.0}, shares={"A": 1.0}, value=100.0)
     out, turnover, cost = rebalance(prev, {"B": 1.0}, {"A": 100.0, "B": 10.0}, 0.001)
     # sell 100 plus buy the re-invested remainder; self-consistent solution
     # of c = 0.001 * (100 + (100 - c)) is c = 0.2 / 1.001
@@ -122,7 +120,6 @@ def test_rebalance_full_liquidation_costs_about_two_legs():
 def test_rebalance_identity_value_after_equals_before_minus_cost():
     rng = np.random.default_rng(3)
     prev = Portfolio(
-        month="m0",
         holdings={},
         shares={f"T{i}": float(s) for i, s in enumerate(rng.uniform(1, 5, 6))},
         value=0.0,
@@ -141,7 +138,7 @@ def test_rebalance_identity_value_after_equals_before_minus_cost():
 @pytest.mark.parametrize("cost_rate", [0.0, 0.001, 0.5, 0.9, 0.99, 0.999])
 def test_rebalance_accounting_holds_up_to_high_cost_rates(cost_rate):
     # sell A and B, buy C: the post-cost value is 2 (1 - r) / (1 + r)
-    prev = Portfolio(month="m0", holdings={"A": 0.5, "B": 0.5}, shares={"A": 1.0, "B": 1.0}, value=2.0)
+    prev = Portfolio(holdings={"A": 0.5, "B": 0.5}, shares={"A": 1.0, "B": 1.0}, value=2.0)
     out, turnover, cost = rebalance(prev, {"C": 1.0}, {"A": 1.0, "B": 1.0, "C": 1.0}, cost_rate)
     held = sum(s * 1.0 for s in out.shares.values())
     assert out.value > 0
@@ -152,7 +149,7 @@ def test_rebalance_accounting_holds_up_to_high_cost_rates(cost_rate):
 
 @pytest.mark.parametrize("cost_rate", [-0.001, 1.0, 2.0])
 def test_rebalance_rejects_cost_rate_outside_unit_interval(cost_rate):
-    prev = Portfolio(month="m0", holdings={"A": 1.0}, shares={"A": 1.0}, value=100.0)
+    prev = Portfolio(holdings={"A": 1.0}, shares={"A": 1.0}, value=100.0)
     with pytest.raises(ValueError, match="cost_rate"):
         rebalance(prev, {"B": 1.0}, {"A": 100.0, "B": 10.0}, cost_rate)
 
@@ -180,7 +177,7 @@ def test_config_rejects_zero_lookback_days():
 
 
 def test_rebalance_missing_price_names_ticker_and_month():
-    prev = Portfolio(month="m0", holdings={}, shares={"A": 1.0}, value=0.0)
+    prev = Portfolio(holdings={}, shares={"A": 1.0}, value=0.0)
     with pytest.raises(DataError, match="A.*2020-03"):
         rebalance(prev, {"A": 1.0}, {"B": 5.0}, 0.001, month="2020-03-31")
 
@@ -435,6 +432,30 @@ def test_sweep_propagates_errors_per_setting_and_continues():
     rows = sweep_theta(panel, config, [0.2, 0.3], ["ew"])
     assert len(rows) == 2
     assert all(r.error is not None and "node_limit" in r.error for r in rows)
+
+
+def test_sweep_error_row_leaves_every_statistic_empty_in_csv(tmp_path):
+    panel = synth_panel(10, 400, 2, seed=14)
+    config = BacktestConfig(theta=0.2, lookback_days=126, solver="exact", node_limit=4)
+    out = tmp_path / "sweep.csv"
+    write_sweep_csv(sweep_theta(panel, config, [0.2, 0.3], ["ew"]), out)
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    for row in rows:
+        assert row["error"]
+        assert all(row[c] == "" for c in SWEEP_COLUMNS if c not in ("theta", "weighting"))
+
+
+def test_sweep_weightings_of_a_theta_share_graph_and_selection_statistics():
+    panel = synth_panel(12, 400, 3, seed=31)
+    config = BacktestConfig(theta=0.2, lookback_days=126, solver="sb", restarts=3)
+    rows = sweep_theta(panel, config, [0.2, 0.3], ["ew", "ivw"])
+    shared = ("density_max", "density_min", "density_avg", "size_max", "size_min", "size_avg", "size_sd")
+    for ew, ivw in zip(rows[::2], rows[1::2]):
+        assert (ew.weighting, ivw.weighting, ew.theta) == ("ew", "ivw", ivw.theta)
+        assert ew.error is None and ivw.error is None
+        assert [getattr(ew, c) for c in shared] == [getattr(ivw, c) for c in shared]
 
 
 def test_sweep_raises_programming_errors(monkeypatch):

@@ -93,16 +93,16 @@ def ising_energies_all(problem, spins_rows):
     return -0.5 * np.einsum("bi,ij,bj->b", spins_rows, j, spins_rows) - spins_rows @ h
 
 
-def test_all_zero_qubo_maps_to_zero_ising():
-    q = QuboProblem(n_bits=3, adjacency=np.zeros((3, 3)), linear=np.zeros(3))
+def test_edgeless_qubo_maps_to_bias_only_ising():
+    q = QuboProblem(adjacency=np.zeros((3, 3)), penalty=2.2, reward=1.3)
     p = qubo_to_ising(q)
     assert np.array_equal(p.j, np.zeros((3, 3)))
-    assert np.array_equal(p.h, np.zeros(3))
-    assert p.offset == 0.0
+    assert np.array_equal(p.h, np.full(3, 1.3 / 2.0))
+    assert p.offset == pytest.approx(-3 * 1.3 / 2.0, abs=1e-12)
 
 
 def test_single_bit_qubo_bias_points_up():
-    q = QuboProblem(n_bits=1, adjacency=np.zeros((1, 1)), linear=np.array([-1.0]))
+    q = QuboProblem(adjacency=np.zeros((1, 1)))
     p = qubo_to_ising(q)
     assert p.h[0] == 0.5  # positive bias favors s = +1
     assert p.offset == -0.5
@@ -144,11 +144,12 @@ def test_edge_value_set_for_uniform_couplings():
         [[0.0, 2.0], [2.0, 0.0]],  # not 0/1
         [[0.0, 1.0], [0.0, 0.0]],  # not symmetric
         [[1.0, 0.0], [0.0, 0.0]],  # self-loop
+        [[0.0, 1.0]],  # not square
     ],
 )
 def test_qubo_rejects_malformed_adjacency(adjacency):
     with pytest.raises(ValueError):
-        QuboProblem(n_bits=2, adjacency=np.array(adjacency), linear=np.full(2, -1.0))
+        QuboProblem(adjacency=np.array(adjacency))
 
 
 def test_closed_form_matches_per_edge_expansion():
@@ -157,8 +158,8 @@ def test_closed_form_matches_per_edge_expansion():
     g = er_graph(15, 0.4, seed=5)
     q = to_qubo(g, penalty=2.2, reward=1.3)
     p = qubo_to_ising(q)
-    j, h = np.zeros((15, 15)), -q.linear / 2.0
-    offset = float(q.linear.sum()) / 2.0
+    j, h = np.zeros((15, 15)), np.full(15, 1.3 / 2.0)
+    offset = -15 * 1.3 / 2.0
     for a, b in g.edges():
         j[a, b] = j[b, a] = -2.2 / 4.0
         h[a] -= 2.2 / 4.0
