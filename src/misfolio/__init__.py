@@ -21,7 +21,7 @@ from .backtest import (
     weights_ew,
     weights_ivw,
 )
-from .market_graph import MarketGraph, build_graph, degree, edge_density
+from .market_graph import MarketGraph, build_graph, edge_density
 from .mis_qubo import (
     IsingProblem,
     MisSolution,
@@ -40,9 +40,7 @@ from .mis_qubo import (
 from .sb_solver import (
     SbParams,
     SbRunResult,
-    SbState,
     sb_solve,
-    sb_step,
     solve_mis_sb,
 )
 from .timeseries import (
@@ -70,12 +68,10 @@ __all__ = [
     "ReturnMatrix",
     "SbParams",
     "SbRunResult",
-    "SbState",
     "Summary",
     "build_graph",
     "correlation",
     "decode",
-    "degree",
     "difr_analysis",
     "edge_density",
     "ising_energy",
@@ -87,7 +83,6 @@ __all__ = [
     "rebalance",
     "run_backtest",
     "sb_solve",
-    "sb_step",
     "select_best",
     "solve_exact",
     "solve_greedy",

@@ -7,6 +7,7 @@ Each month-end with enough trailing history:
    so no information past the month boundary is used)
 2. threshold graph at ``theta``; solve for a maximum independent set with
    the configured solver; keep the best verification-passed solution
+   (bSB restarts that fail verification are repaired first)
 3. weight the selected names (equal weight, or inverse volatility weight)
 4. rebalance: trading costs are ``cost_rate`` times turnover, where
    turnover is the amount bought plus the absolute amount sold
@@ -309,7 +310,7 @@ def _solve_month(graph: market_graph.MarketGraph, config: BacktestConfig, month_
     if config.solver == "exact":
         return mis_qubo.solve_exact(graph, node_limit=config.node_limit)
     params = SbParams(restarts=config.restarts, seed=derive_seed(config.seed, month_index))
-    return solve_mis_sb(graph, params)
+    return solve_mis_sb(graph, params, repair=True)
 
 
 def _month_weights(

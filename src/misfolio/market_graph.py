@@ -117,10 +117,6 @@ def edge_density(graph: MarketGraph) -> float:
     return graph.n_edges / (n * (n - 1) / 2)
 
 
-def degree(graph: MarketGraph, node: int) -> int:
-    return graph.degree(node)
-
-
 def write_edge_list(graph: MarketGraph, path) -> None:
     """Text export: header ``n_nodes theta`` then one ``i j`` pair per line."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -5,7 +5,7 @@ One time step, in order:
 
 1. coupling stage: ``mm_i = sum_j J_ij x_j`` (one matrix-vector
    product per run; all runs share one matrix-matrix product, see below)
-2. momentum: ``p_i += dt * (-(alpha0 - alpha_k) x_i + eta * h'_i + c0 * mm_i)``
+2. momentum: ``p_i += dt * (-(alpha0 - alpha_k) x_i + c0 * (h_i + mm_i))``
 3. position: ``x_i += dt * p_i``
 4. perfectly inelastic walls at +/-1: where ``|x_i| > 1``, set
    ``x_i <- sgn(x_i)`` and ``p_i <- 0``
@@ -14,21 +14,17 @@ One time step, in order:
 last.  After ``n_steps`` steps the spins are ``sgn(x_i)`` with
 ``sgn(0) = +1``.
 
-Coupling scale and bias conditioning
-------------------------------------
+Coupling scale
+--------------
 The scale ``c0`` is not universal; the default prescription here is
 
     c0 = 1.5 / (rms * sqrt(n)),   rms = root-mean-square of the
                                   off-diagonal entries of J
 
 (falling back to 1.0 when J is empty), chosen empirically for the
-independent-set workloads this package targets.  The digitized landscape
-minimizes ``-1/2 s J s - (eta/c0) h s``, so a bias fed in raw is
-re-weighted by ``eta/c0`` relative to the couplings and the solver would
-optimize a distorted objective.  With ``bias_conditioning`` on (the
-default) the bias loaded into the step is ``h' = (c0/eta) h``, keeping the
-coupling-to-bias ratio of the original problem; set it to False to apply
-``eta`` to the raw bias instead.
+independent-set workloads this package targets.  The bias shares ``c0``
+with the couplings, so the digitized landscape keeps the problem's
+coupling-to-bias ratio for any ``c0``.
 
 Determinism and restarts
 ------------------------
@@ -55,8 +51,8 @@ Input validation
 The walls hold every position in [-1, 1] and ``|(J x)_i| <= sqrt(n) |J|_F``,
 so one momentum kick is at most
 ``dt * (alpha0 + c0 * sqrt(n) * |J|_F) + max |bias step|``.  ``SbParams``
-and ``IsingProblem`` reject non-finite values, and ``sb_solve``/``sb_step``
-reject a problem and params whose kicks over ``n_steps`` could overflow.
+and ``IsingProblem`` reject non-finite values, and ``sb_solve`` rejects a
+problem and params whose kicks over ``n_steps`` could overflow.
 A run's state therefore stays finite, and no step checks it.
 """
 
@@ -64,7 +60,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -91,17 +87,15 @@ class SbParams:
 
     n_steps: int = 1000
     dt: float = 0.2
-    eta: float = 0.2
     alpha0: float = 1.0
     coupling_scale: float | None = None
     restarts: int = 10
     seed: int = 0
-    bias_conditioning: bool = True
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        positive = {"dt": self.dt, "eta": self.eta, "alpha0": self.alpha0}
+        positive = {"dt": self.dt, "alpha0": self.alpha0}
         if self.coupling_scale is not None:  # None selects the default
             positive["coupling_scale"] = self.coupling_scale
         for name, value in positive.items():
@@ -111,32 +105,24 @@ class SbParams:
             raise ValueError("restarts must be >= 1")
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_steps": self.n_steps,
-            "dt": self.dt,
-            "eta": self.eta,
-            "alpha0": self.alpha0,
-            "coupling_scale": self.coupling_scale,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "bias_conditioning": self.bias_conditioning,
-        }
+        return asdict(self)
 
 
 def params_from_json(path) -> SbParams:
-    """Load solver config; ``"coupling_scale": null`` selects the default."""
+    """Load solver config; ``"coupling_scale": null`` selects the default.
+
+    Raises ValueError unless the file holds a JSON object whose keys are
+    ``SbParams`` fields.
+    """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: solver config must be a JSON object, got {type(raw).__name__}")
+    known = [f.name for f in fields(SbParams)]
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ValueError(f"{path}: unknown solver config keys {unknown}; known keys are {known}")
     return SbParams(**raw)
-
-
-@dataclass
-class SbState:
-    """Positions, momenta, and the index of the next step to run."""
-
-    x: np.ndarray
-    p: np.ndarray
-    step: int = 0
 
 
 @dataclass
@@ -169,8 +155,7 @@ def _setup(problem: IsingProblem, params: SbParams):
     Raises ValueError if the momentum could overflow (module docstring).
     """
     c0 = params.coupling_scale if params.coupling_scale is not None else default_coupling_scale(problem)
-    h_eff = problem.h * (c0 / params.eta) if params.bias_conditioning else problem.h
-    bias_step = (params.dt * params.eta) * h_eff
+    bias_step = (params.dt * c0) * problem.h
     mm_bound = math.sqrt(problem.n_spins * float(np.vdot(problem.j, problem.j)))
     kick = params.dt * (params.alpha0 + c0 * mm_bound) + float(np.max(np.abs(bias_step), initial=0.0))
     # |p| <= 1 + n_steps * kick, and x moves by dt * p before the walls
@@ -197,20 +182,6 @@ def _advance(x, p, mm, scratch, k, j, bias_step, c0, params) -> None:
     if over.any():
         x[over] = np.copysign(1.0, x[over])
         p[over] = 0.0
-
-
-def sb_step(state: SbState, problem: IsingProblem, params: SbParams, k: int) -> SbState:
-    """Single reference step; returns a new state with ``step = k + 1``."""
-    x = np.array(state.x, dtype=np.float64)
-    p = np.array(state.p, dtype=np.float64)
-    if x.shape != (problem.n_spins,) or p.shape != (problem.n_spins,):
-        raise ValueError("state size does not match problem")
-    if not (np.isfinite(x).all() and np.isfinite(p).all()):
-        raise ValueError("state must be finite")
-    bias_step, c0 = _setup(problem, params)
-    xs, ps = x[np.newaxis], p[np.newaxis]  # one-row views of x and p
-    _advance(xs, ps, np.empty_like(xs), np.empty_like(xs), k, problem.j, bias_step, c0, params)
-    return SbState(x=x, p=p, step=k + 1)
 
 
 def run_seed_key(seed: int, run_index: int) -> int:

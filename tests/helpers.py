@@ -1,8 +1,9 @@
-"""Shared test utilities: small graph builders and brute-force oracles."""
+"""Shared test utilities: small graph builders, brute-force oracles and a bSB stepper."""
 
 import numpy as np
 
 from misfolio.market_graph import MarketGraph, graph_from_edges
+from misfolio.sb_solver import _advance, _setup
 
 
 def er_graph(n: int, p: float, seed: int) -> MarketGraph:
@@ -30,3 +31,14 @@ def brute_force_mis_size(graph: MarketGraph) -> int:
     bits = all_bit_configs(graph.n_nodes)
     sizes = bits.sum(axis=1)
     return int(sizes[feasible_mask(graph, bits)].max())
+
+
+def sb_stepper(problem, params, x: np.ndarray, p: np.ndarray):
+    """``step(k)`` runs bSB step ``k`` in place on the ``(R, n)`` state (x, p).
+
+    It calls the solver's own step kernel with the constants ``sb_solve``
+    derives, so a one-row state steps exactly like one restart.
+    """
+    bias_step, c0 = _setup(problem, params)
+    mm, scratch = np.empty_like(x), np.empty_like(x)
+    return lambda k: _advance(x, p, mm, scratch, k, problem.j, bias_step, c0, params)

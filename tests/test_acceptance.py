@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from helpers import all_bit_configs, er_graph, feasible_mask
+from helpers import all_bit_configs, er_graph, feasible_mask, sb_stepper
 from misfolio.backtest import (
     BacktestConfig,
     cap_weights,
@@ -27,7 +27,7 @@ from misfolio.mis_qubo import (
     to_qubo,
     verify,
 )
-from misfolio.sb_solver import SbParams, SbState, sb_solve, sb_step, solve_mis_sb
+from misfolio.sb_solver import SbParams, sb_solve, solve_mis_sb
 from misfolio.timeseries import ReturnMatrix, correlation, log_returns, synth_panel
 
 
@@ -144,11 +144,11 @@ def test_criterion_5_wall_invariant_and_thread_determinism():
         from misfolio.mis_qubo import IsingProblem
 
         problem = IsingProblem(n_spins=n, j=problem_j, h=problem_h, offset=0.0)
-        params = SbParams(n_steps=100)
-        state = SbState(x=rng.uniform(-1, 1, n), p=rng.uniform(-3, 3, n))
+        x, p = rng.uniform(-1, 1, (1, n)), rng.uniform(-3, 3, (1, n))
+        step = sb_stepper(problem, SbParams(n_steps=100), x, p)
         for k in range(100):
-            state = sb_step(state, problem, params, k)
-            if np.any(np.abs(state.x) > 1.0):
+            step(k)
+            if np.any(np.abs(x) > 1.0):
                 violations += 1
     # 100 states x 100 steps = 10,000 random steps
     graph = er_graph(40, 0.3, seed=99)

@@ -342,6 +342,16 @@ def test_backtest_holds_previous_book_when_no_feasible_selection(monkeypatch):
     assert all(m.feasible for i, m in enumerate(report.months) if i != 2)
 
 
+@pytest.mark.parametrize("lookback_days", [252, 126])
+def test_backtest_sb_holds_no_month_while_an_independent_set_exists(lookback_days):
+    # one bSB restart often decodes to a non-independent set at theta 0.1;
+    # repair turns it into one, as greedy and exact find every month
+    panel = synth_panel(40, 1010, 3, seed=0)
+    config = BacktestConfig(theta=0.1, weighting="ew", lookback_days=lookback_days, solver="sb", restarts=1)
+    report = run_backtest(panel, config)
+    assert [m.date for m in report.months if not m.feasible] == []
+
+
 def test_backtest_zero_volatility_under_ivw_errors_or_drops():
     # one constant-price stock: zero volatility, isolated in the graph,
     # so every maximum independent set contains it

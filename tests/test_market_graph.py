@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from misfolio.market_graph import (
     build_graph,
-    degree,
     edge_density,
     graph_from_edges,
     read_edge_list,
@@ -65,20 +64,20 @@ def test_edge_density_undefined_below_two_nodes():
 
 def test_degree_examples():
     star = graph_from_edges(5, [(0, i) for i in range(1, 5)])
-    assert degree(star, 0) == 4
-    assert degree(star, 1) == 1
+    assert star.degree(0) == 4
+    assert star.degree(1) == 1
     isolated = graph_from_edges(3, [(0, 1)])
-    assert degree(isolated, 2) == 0
+    assert isolated.degree(2) == 0
     g = build_graph(three_stock_corr(), 0.25)
-    assert degree(g, 1) == 2
+    assert g.degree(1) == 2
 
 
 def test_degree_out_of_range():
     g = graph_from_edges(3, [])
     with pytest.raises(IndexError):
-        degree(g, 3)
+        g.degree(3)
     with pytest.raises(IndexError):
-        degree(g, -1)
+        g.degree(-1)
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(-1, 1), st.floats(-1, 1))

@@ -6,20 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_bit_configs, er_graph
+from helpers import all_bit_configs, er_graph, sb_stepper
 from misfolio.market_graph import build_graph, graph_from_edges
 from misfolio.mis_qubo import IsingProblem, ising_energy, qubo_to_ising, solve_exact, to_qubo, verify
 from misfolio.sb_solver import (
     SbParams,
-    SbState,
-    _advance,
-    _setup,
     default_coupling_scale,
     digitize,
     params_from_json,
     run_seed_key,
     sb_solve,
-    sb_step,
     solve_mis_sb,
     solve_mis_sb_runs,
 )
@@ -50,7 +46,8 @@ def brute_force_min_energy(problem):
 
 def test_params_defaults():
     p = SbParams()
-    assert (p.n_steps, p.dt, p.eta, p.alpha0, p.restarts) == (1000, 0.2, 0.2, 1.0, 10)
+    assert (p.n_steps, p.dt, p.alpha0, p.restarts, p.seed) == (1000, 0.2, 1.0, 10, 0)
+    assert list(p.to_json_dict()) == ["n_steps", "dt", "alpha0", "coupling_scale", "restarts", "seed"]
     assert p.coupling_scale is None
 
 
@@ -61,9 +58,11 @@ def test_params_defaults():
         {"dt": 0.0},
         {"dt": -1.0},
         {"alpha0": 0.0},
+        {"alpha0": -1.0},
         {"restarts": 0},
         {"coupling_scale": -0.5},
-        *({field: value} for field in ("dt", "eta", "alpha0", "coupling_scale") for value in (math.nan, math.inf)),
+        {"coupling_scale": 0.0},
+        *({field: value} for field in ("dt", "alpha0", "coupling_scale") for value in (math.nan, math.inf)),
     ],
 )
 def test_params_validation(kwargs):
@@ -74,7 +73,7 @@ def test_params_validation(kwargs):
 def test_params_json_round_trip(tmp_path):
     path = tmp_path / "solver.json"
     path.write_text(json.dumps({
-        "n_steps": 500, "dt": 0.1, "eta": 0.2, "alpha0": 1.0,
+        "n_steps": 500, "dt": 0.1, "alpha0": 1.0,
         "coupling_scale": None, "restarts": 4, "seed": 9,
     }))
     p = params_from_json(path)
@@ -84,9 +83,33 @@ def test_params_json_round_trip(tmp_path):
 
 def test_params_json_round_trip_keeps_every_field(tmp_path):
     path = tmp_path / "solver.json"
-    saved = SbParams(n_steps=300, coupling_scale=0.7, restarts=3, seed=5, bias_conditioning=False)
+    saved = SbParams(n_steps=300, dt=0.1, alpha0=0.9, coupling_scale=0.7, restarts=3, seed=5)
     path.write_text(json.dumps(saved.to_json_dict()))
     assert params_from_json(path) == saved
+
+
+@pytest.mark.parametrize(
+    "raw, names",
+    [
+        ({"n_steps": 500, "eta": 0.2, "bias_conditioning": True}, ["bias_conditioning", "eta"]),
+        ({"restart": 4}, ["restart"]),
+    ],
+    ids=["removed-knobs", "typo"],
+)
+def test_params_json_rejects_unknown_keys(tmp_path, raw, names):
+    path = tmp_path / "solver.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match="unknown solver config keys") as err:
+        params_from_json(path)
+    assert str(names) in str(err.value)
+
+
+@pytest.mark.parametrize("raw", [[1000, 0.2], "n_steps", None])
+def test_params_json_rejects_non_object(tmp_path, raw):
+    path = tmp_path / "solver.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        params_from_json(path)
 
 
 def masked_coupling_scale(problem):
@@ -110,22 +133,21 @@ def test_default_coupling_scale_prescription():
     assert default_coupling_scale(ising(np.zeros((3, 3)), np.ones(3))) == 1.0
 
 
-# --- single-step dynamics -------------------------------------------------------
+# --- single-step dynamics (the step kernel on one-row states) -------------------
 
 def test_zero_problem_zero_state_is_fixed_point():
     problem = ising(np.zeros((4, 4)), np.zeros(4))
-    params = SbParams(n_steps=50)
-    state = SbState(x=np.zeros(4), p=np.zeros(4))
+    x, p = np.zeros((1, 4)), np.zeros((1, 4))
+    step = sb_stepper(problem, SbParams(n_steps=50), x, p)
     for k in range(50):
-        state = sb_step(state, problem, params, k)
-    assert np.array_equal(state.x, np.zeros(4))
-    assert np.array_equal(state.p, np.zeros(4))
-    assert state.step == 50
+        step(k)
+    assert np.array_equal(x, np.zeros((1, 4)))
+    assert np.array_equal(p, np.zeros((1, 4)))
 
 
 def test_single_spin_reaches_positive_wall_and_sticks():
-    # scalar reference of the same dynamics (conditioned bias coefficient is
-    # c0, which is 1 for a problem with no couplings)
+    # scalar reference of the same dynamics (the bias coefficient is c0,
+    # which is 1 for a problem with no couplings)
     n_steps, dt, alpha0 = 200, 0.2, 1.0
     h = 1.0
     x_ref, p_ref = 0.01, 0.0
@@ -142,16 +164,16 @@ def test_single_spin_reaches_positive_wall_and_sticks():
     assert ref_hit is not None and x_ref == 1.0
 
     problem = ising(np.zeros((1, 1)), np.array([h]))
-    params = SbParams(n_steps=n_steps)
-    state = SbState(x=np.array([0.01]), p=np.array([0.0]))
+    x, p = np.array([[0.01]]), np.array([[0.0]])
+    step = sb_stepper(problem, SbParams(n_steps=n_steps), x, p)
     hit = None
     for k in range(n_steps):
-        state = sb_step(state, problem, params, k)
-        if hit is None and state.x[0] == 1.0:
+        step(k)
+        if hit is None and x[0, 0] == 1.0:
             hit = k
-            assert state.p[0] == 0.0  # momentum absorbed by the wall
+            assert p[0, 0] == 0.0  # momentum absorbed by the wall
     assert hit == ref_hit
-    assert state.x[0] == 1.0  # pinned at the wall at the end
+    assert x[0, 0] == 1.0  # pinned at the wall at the end
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -160,26 +182,9 @@ def test_wall_invariant_random_states(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 12))
     problem = random_problem(n, seed)
-    params = SbParams(n_steps=10)
-    state = SbState(x=rng.uniform(-1, 1, n), p=rng.uniform(-2, 2, n))
-    k = int(rng.integers(0, 10))
-    out = sb_step(state, problem, params, k)
-    assert np.all(np.abs(out.x) <= 1.0)
-
-
-def test_step_rejects_mismatched_state():
-    problem = random_problem(4, 1)
-    with pytest.raises(ValueError):
-        sb_step(SbState(x=np.zeros(3), p=np.zeros(3)), problem, SbParams(), 0)
-
-
-@pytest.mark.parametrize("bad", ["x", "p"])
-def test_step_rejects_nonfinite_state(bad):
-    problem = random_problem(4, 1)
-    state = {"x": np.zeros(4), "p": np.zeros(4)}
-    state[bad][2] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        sb_step(SbState(**state), problem, SbParams(), 0)
+    x, p = rng.uniform(-1, 1, (1, n)), rng.uniform(-2, 2, (1, n))
+    sb_stepper(problem, SbParams(n_steps=10), x, p)(int(rng.integers(0, 10)))
+    assert np.all(np.abs(x) <= 1.0)
 
 
 # --- full solves -----------------------------------------------------------------
@@ -229,11 +234,11 @@ def test_sb_solve_equals_composed_sb_steps():
     params = SbParams(n_steps=300, restarts=2, seed=11)
     runs = sb_solve(problem, params)
     for r in range(2):
-        rng = np.random.Generator(np.random.Philox(key=run_seed_key(11, r)))
-        state = SbState(x=rng.uniform(-1.0, 1.0, 12), p=rng.uniform(-1.0, 1.0, 12))
+        x, p = (v[np.newaxis] for v in initial_state(11, r, 12))
+        step = sb_stepper(problem, params, x, p)
         for k in range(300):
-            state = sb_step(state, problem, params, k)
-        assert np.array_equal(digitize(state.x), runs[r].spins)
+            step(k)
+        assert np.array_equal(digitize(x[0]), runs[r].spins)
 
 
 def initial_state(seed, r, n):
@@ -250,7 +255,7 @@ def reference_run(problem, params, r):
     """
     x, p = initial_state(params.seed, r, problem.n_spins)
     c0 = default_coupling_scale(problem)
-    bias_step = (params.dt * params.eta) * (problem.h * (c0 / params.eta))
+    bias_step = (params.dt * c0) * problem.h
     for k in range(params.n_steps):
         alpha_k = params.alpha0 * (k / (params.n_steps - 1))
         mm = problem.j @ x
@@ -285,10 +290,9 @@ def test_batched_restarts_match_single_run_reference(graph):
 
     # final positions of the (R, n) kernel, stepped from the same seeds
     x, p = map(np.stack, zip(*(initial_state(3, r, problem.n_spins) for r in range(10))))
-    bias_step, c0 = _setup(problem, params)
-    mm, scratch = np.empty_like(x), np.empty_like(x)
+    step = sb_stepper(problem, params, x, p)
     for k in range(params.n_steps):
-        _advance(x, p, mm, scratch, k, problem.j, bias_step, c0, params)
+        step(k)
     assert np.max(np.abs(x - np.stack(refs))) <= 1e-9
 
 
@@ -321,8 +325,6 @@ def test_overflowing_kick_is_rejected_before_any_step():
     params = SbParams(coupling_scale=1e160)  # dt * c0 * (J x) overflows at step 0
     with pytest.raises(ValueError, match="overflow"):
         sb_solve(problem, params)
-    with pytest.raises(ValueError, match="overflow"):
-        sb_step(SbState(x=np.zeros(2), p=np.zeros(2)), problem, params, 0)
 
 
 # --- MIS pipeline ------------------------------------------------------------------
