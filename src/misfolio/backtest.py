@@ -636,9 +636,7 @@ def difr_analysis(
                 dates=returns.dates[:di], tickers=returns.tickers, values=returns.values[:di]
             )
             corr = timeseries.correlation(window, lookback_days)
-            graph = market_graph.build_graph(corr, theta)
-            for i in range(n):
-                deg_sum[i] += graph.degree(i)
+            deg_sum += market_graph.build_graph(corr, theta).adjacency_matrix.sum(axis=1)
 
     t_count = len(months)
     order = sorted(range(n), key=lambda i: (-difr[i], panel.tickers[i]))

@@ -1,9 +1,9 @@
 """Threshold market graph over a stock universe.
 
 Nodes are stocks; an (undirected) edge joins ``i`` and ``j`` whenever their
-return correlation is greater than or equal to the threshold.  Adjacency is
-stored as one Python-int bitmask per node, which keeps degree counting,
-independence checks and the combinatorial solvers at O(n^2 / wordsize).
+return correlation is greater than or equal to the threshold.  The graph is
+its read-only boolean adjacency matrix; exact branch and bound alone works
+on per-node Python-int bitmasks packed from it.
 """
 
 from __future__ import annotations
@@ -16,97 +16,88 @@ import numpy as np
 from .timeseries import CorrelationMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarketGraph:
-    """Simple undirected graph; ``adjacency[i]`` has bit ``j`` set iff i~j."""
+    """Simple undirected graph; ``adjacency_matrix[i, j]`` is True iff i~j.
 
-    n_nodes: int
+    The matrix must be a square bool array, symmetric with a zero diagonal,
+    with one row per ticker.
+    """
+
     tickers: tuple[str, ...]
     theta: float
-    adjacency: tuple[int, ...]
+    adjacency_matrix: np.ndarray
 
     def __post_init__(self):
-        if len(self.adjacency) != self.n_nodes or len(self.tickers) != self.n_nodes:
-            raise ValueError("adjacency/tickers length must equal n_nodes")
+        a = np.asarray(self.adjacency_matrix)
+        n = len(self.tickers)
+        if a.dtype != np.bool_ or a.shape != (n, n):
+            raise ValueError(
+                f"adjacency_matrix must be a ({n}, {n}) bool array, one row per ticker; "
+                f"got dtype {a.dtype}, shape {a.shape}"
+            )
+        if a.diagonal().any() or not np.array_equal(a, a.T):
+            raise ValueError("adjacency_matrix must be symmetric with a zero diagonal")
+        a = a.view()
+        a.flags.writeable = False
+        object.__setattr__(self, "adjacency_matrix", a)
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.tickers)
 
     def degree(self, node: int) -> int:
         self._check(node)
-        return self.adjacency[node].bit_count()
+        return int(np.count_nonzero(self.adjacency_matrix[node]))
 
     def has_edge(self, i: int, j: int) -> bool:
         self._check(i)
         self._check(j)
-        return bool(self.adjacency[i] >> j & 1)
+        return bool(self.adjacency_matrix[i, j])
 
     def neighbors(self, node: int) -> tuple[int, ...]:
         self._check(node)
-        return tuple(_iter_bits(self.adjacency[node]))
+        return tuple(np.flatnonzero(self.adjacency_matrix[node]).tolist())
 
     @property
     def n_edges(self) -> int:
-        return sum(a.bit_count() for a in self.adjacency) // 2
+        return int(np.count_nonzero(self.adjacency_matrix)) // 2
 
     def edges(self):
-        for i, mask in enumerate(self.adjacency):
-            for j in _iter_bits(mask >> (i + 1)):
-                yield (i, i + 1 + j)
+        """Each edge once as ``(i, j)`` with ``i < j``, in row-major order."""
+        rows, cols = np.nonzero(np.triu(self.adjacency_matrix, 1))
+        yield from zip(rows.tolist(), cols.tolist())
 
     @cached_property
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 float64 matrix unpacked from the bitmask rows (read-only)."""
-        n = self.n_nodes
-        nbytes = (n + 7) // 8
-        out = np.empty((n, n), dtype=np.float64)
-        for i, mask in enumerate(self.adjacency):
-            raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-            out[i] = np.unpackbits(raw, bitorder="little")[:n]
-        out.flags.writeable = False
-        return out
+    def adjacency(self) -> tuple[int, ...]:
+        """Per-node bitmasks packed from the matrix: bit ``j`` of ``adjacency[i]`` is set iff i~j."""
+        packed = np.packbits(self.adjacency_matrix, axis=1, bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
     def _check(self, node: int) -> None:
         if not 0 <= node < self.n_nodes:
             raise IndexError(f"node {node} out of range [0, {self.n_nodes})")
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def pack_rows(mask: np.ndarray) -> tuple[int, ...]:
-    """Pack a boolean matrix into per-row Python-int bitmasks."""
-    packed = np.packbits(mask.astype(np.uint8), axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-
-
 def build_graph(corr: CorrelationMatrix, theta: float) -> MarketGraph:
     """Connect i and j (i != j) whenever ``corr[i, j] >= theta`` (inclusive)."""
-    c = corr.values
-    mask = c >= theta
+    mask = corr.values >= theta
     np.fill_diagonal(mask, False)
-    return MarketGraph(
-        n_nodes=len(corr.tickers),
-        tickers=tuple(corr.tickers),
-        theta=float(theta),
-        adjacency=pack_rows(mask),
-    )
+    return MarketGraph(tickers=tuple(corr.tickers), theta=float(theta), adjacency_matrix=mask)
 
 
 def graph_from_edges(n_nodes: int, edges, theta: float = 0.0, tickers=None) -> MarketGraph:
     """Build a graph from an iterable of (i, j) pairs; self-loops rejected."""
-    adj = [0] * n_nodes
+    a = np.zeros((n_nodes, n_nodes), dtype=bool)
     for i, j in edges:
         if i == j:
             raise ValueError(f"self-loop at node {i}")
         if not (0 <= i < n_nodes and 0 <= j < n_nodes):
             raise ValueError(f"edge ({i}, {j}) out of range for n={n_nodes}")
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
+        a[i, j] = a[j, i] = True
     if tickers is None:
         tickers = tuple(str(i) for i in range(n_nodes))
-    return MarketGraph(n_nodes=n_nodes, tickers=tuple(tickers), theta=float(theta), adjacency=tuple(adj))
+    return MarketGraph(tickers=tuple(tickers), theta=float(theta), adjacency_matrix=a)
 
 
 def edge_density(graph: MarketGraph) -> float:
@@ -126,18 +117,27 @@ def write_edge_list(graph: MarketGraph, path) -> None:
 
 
 def read_edge_list(path) -> MarketGraph:
+    """Parse the format :func:`write_edge_list` writes; malformed lines name the file and line."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected header 'n_nodes theta'")
-        n = int(header[0])
-        theta = float(header[1])
+        try:
+            n_text, theta_text = header
+            n, theta = int(n_text), float(theta_text)
+        except ValueError:
+            n = -1  # rejected below, together with a negative count
+        if n < 0:
+            raise ValueError(
+                f"{path}: line 1: expected header 'n_nodes theta' with a non-negative integer "
+                f"node count and a numeric theta, got {' '.join(header)!r}"
+            )
         edges = []
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
             if not parts:
                 continue
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 'i j'")
-            edges.append((int(parts[0]), int(parts[1])))
+            try:
+                i, j = (int(part) for part in parts)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: expected 'i j', got {line.strip()!r}") from None
+            edges.append((i, j))
     return graph_from_edges(n, edges, theta=theta)

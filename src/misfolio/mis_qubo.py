@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .market_graph import MarketGraph, _iter_bits
+from .market_graph import MarketGraph
 
 DEFAULT_PENALTY = 2.0
 DEFAULT_REWARD = 1.0
@@ -42,8 +42,9 @@ class SolveTimeout(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class QuboProblem:
-    """MIS cost over bits: ``penalty`` on each edge of the 0/1 ``adjacency``
-    matrix (symmetric, zero diagonal) and ``-reward`` on each bit."""
+    """MIS cost over bits: ``penalty`` on each edge of the ``adjacency``
+    matrix (0/1 or bool, symmetric, zero diagonal; held as bool) and
+    ``-reward`` on each bit."""
 
     adjacency: np.ndarray
     penalty: float = DEFAULT_PENALTY
@@ -54,10 +55,14 @@ class QuboProblem:
             raise ValueError(
                 f"need 0 < reward < penalty, got reward={self.reward}, penalty={self.penalty}"
             )
-        a = np.asarray(self.adjacency, dtype=np.float64)
+        a = np.asarray(self.adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be a square matrix, got shape {a.shape}")
-        if np.any((a != 0.0) & (a != 1.0)) or np.any(np.diagonal(a) != 0.0) or not np.array_equal(a, a.T):
+        if a.dtype != np.bool_:
+            if np.any((a != 0) & (a != 1)):
+                raise ValueError("adjacency must be a symmetric 0/1 matrix with zero diagonal")
+            a = a != 0
+        if np.any(np.diagonal(a)) or not np.array_equal(a, a.T):
             raise ValueError("adjacency must be a symmetric 0/1 matrix with zero diagonal")
         object.__setattr__(self, "adjacency", a)
 
@@ -132,7 +137,7 @@ def qubo_to_ising(problem: QuboProblem) -> IsingProblem:
     n = len(a)
     deg = a.sum(axis=1)
     # not -(penalty/4) * a, which would put -0.0 on every non-edge
-    j = np.where(a != 0.0, -problem.penalty / 4.0, 0.0)
+    j = np.where(a, -problem.penalty / 4.0, 0.0)
     h = problem.reward / 2.0 - problem.penalty * deg / 4.0
     n_edges = float(deg.sum()) / 2.0
     offset = float(np.full(n, -problem.reward).sum()) / 2.0 + problem.penalty * n_edges / 4.0
@@ -156,42 +161,32 @@ def decode(spins, source: str = "sb") -> MisSolution:
 def verify(graph: MarketGraph, selected) -> tuple[bool, list[tuple[int, int]]]:
     """Feasibility check: no selected pair adjacent; violated edges listed."""
     nodes = sorted(set(int(i) for i in selected))
-    mask = 0
     for i in nodes:
         if not 0 <= i < graph.n_nodes:
             raise IndexError(f"node {i} out of range [0, {graph.n_nodes})")
-        mask |= 1 << i
-    violated = []
-    for i in nodes:
-        hits = graph.adjacency[i] & mask
-        for j in _iter_bits(hits):
-            if j > i:
-                violated.append((i, j))
+    rows, cols = np.nonzero(np.triu(graph.adjacency_matrix[np.ix_(nodes, nodes)], 1))
+    violated = [(nodes[r], nodes[c]) for r, c in zip(rows.tolist(), cols.tolist())]
     return (not violated), violated
 
 
-def _min_degree_order(adjacency: list[int], alive: int):
+def _min_degree_order(adjacency: np.ndarray):
     """Yield min-degree nodes of the shrinking residual graph (lowest index wins ties)."""
-    while alive:
-        best, best_deg = -1, 1 << 62
-        m = alive
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            d = (adjacency[u] & alive).bit_count()
-            if d < best_deg:
-                best, best_deg = u, d
-                if d == 0:
-                    break
-            m ^= low
+    alive = np.ones(len(adjacency), dtype=bool)
+    deg = np.count_nonzero(adjacency, axis=1)
+    while alive.any():
+        best = int(np.argmin(deg))
         yield best
-        alive &= ~((1 << best) | adjacency[best])
+        removed = alive & adjacency[best]
+        removed[best] = True
+        alive &= ~removed
+        deg -= np.count_nonzero(adjacency[removed], axis=0)
+        # never picked again: later drops take at most n off the maximum
+        deg[removed] = np.iinfo(np.intp).max
 
 
 def solve_greedy(graph: MarketGraph) -> MisSolution:
     """Minimum-degree greedy: pick, delete closed neighborhood, repeat."""
-    adjacency = list(graph.adjacency)
-    selected = sorted(_min_degree_order(adjacency, (1 << graph.n_nodes) - 1))
+    selected = sorted(_min_degree_order(graph.adjacency_matrix))
     return MisSolution(
         selected=tuple(selected), size=len(selected), feasible=True, source="greedy"
     )
@@ -274,7 +269,7 @@ def solve_exact(graph: MarketGraph, node_limit: int = 64, time_budget: float | N
         expand(candidates & ~vbit, chosen, size)
 
     expand((1 << n) - 1, 0, 0)
-    selected = tuple(_iter_bits(best_mask)) if best_mask else tuple(incumbent.selected)
+    selected = tuple(i for i in range(n) if best_mask >> i & 1) if best_mask else incumbent.selected
     return MisSolution(selected=selected, size=best_size, feasible=True, source="exact")
 
 
@@ -295,23 +290,18 @@ def select_best(candidates) -> MisSolution:
 def repair(graph: MarketGraph, solution: MisSolution) -> MisSolution:
     """Make a candidate feasible: drop the higher-degree endpoint of each
     violated edge, then extend greedily with whatever still fits."""
+    a = graph.adjacency_matrix
     keep = set(solution.selected)
-    while True:
-        ok, violated = verify(graph, keep)
-        if ok:
-            break
-        i, j = violated[0]
-        keep.discard(j if graph.degree(j) >= graph.degree(i) else i)
-    mask = 0
-    for i in keep:
-        mask |= 1 << i
-    blocked = mask
-    for i in keep:
-        blocked |= graph.adjacency[i]
-    free = ((1 << graph.n_nodes) - 1) & ~blocked
-    adjacency = list(graph.adjacency)
-    for u in _min_degree_order(adjacency, free):
-        keep.add(u)
+    _, violated = verify(graph, keep)
+    # dropping a node only removes violations, so one pass in verify's
+    # order drops what re-verifying after each drop would
+    for i, j in violated:
+        if i in keep and j in keep:
+            keep.discard(j if graph.degree(j) >= graph.degree(i) else i)
+    kept = np.zeros(graph.n_nodes, dtype=bool)
+    kept[list(keep)] = True
+    free = np.flatnonzero(~(kept | a[kept].any(axis=0)))
+    keep.update(int(free[u]) for u in _min_degree_order(a[np.ix_(free, free)]))
     selected = tuple(sorted(keep))
     return replace(
         solution, selected=selected, size=len(selected), feasible=True, source=solution.source + "+repair"

@@ -554,7 +554,18 @@ def test_difr_reports_average_degree_when_theta_given():
     rows = difr_analysis(
         panel, weights, caps, (months[-3], months[-1]), theta=0.2, lookback_days=60
     )
-    assert all(r.avg_degree is not None and r.avg_degree >= 0 for r in rows)
+    # per month, count each stock's trailing correlations at or above theta
+    returns = log_returns(panel)
+    deg = np.zeros(panel.n_tickers)
+    for date in months[-3:]:
+        di = panel.dates.index(date)
+        window = ReturnMatrix(dates=returns.dates[:di], tickers=returns.tickers, values=returns.values[:di])
+        c = correlation(window, 60).values
+        for i in range(panel.n_tickers):
+            deg[i] += sum(1 for j in range(panel.n_tickers) if j != i and c[i, j] >= 0.2)
+    want = {t: deg[i] / 3 for i, t in enumerate(panel.tickers)}
+    assert {r.ticker: r.avg_degree for r in rows} == want
+    assert any(d > 0 for d in want.values())
 
 
 def test_difr_month_outside_series_is_range_error():

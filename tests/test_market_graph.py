@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misfolio.market_graph import (
+    MarketGraph,
     build_graph,
     edge_density,
     graph_from_edges,
@@ -105,14 +106,36 @@ def test_build_respects_relabeling():
     assert set(gp.edges()) == relabeled
 
 
-def test_adjacency_matrix_matches_bitsets():
-    g = er = graph_from_edges(10, [(0, 1), (2, 7), (3, 9), (0, 9)])
+def test_adjacency_bitmasks_match_matrix():
+    g = graph_from_edges(10, [(0, 1), (2, 7), (3, 9), (0, 9)])
     m = g.adjacency_matrix
-    assert m.shape == (10, 10)
-    assert np.array_equal(m, m.T)
+    assert m.shape == (10, 10) and m.dtype == bool
+    assert not m.flags.writeable
+    assert len(g.adjacency) == 10
     for i in range(10):
         for j in range(10):
-            assert bool(m[i, j]) == g.has_edge(i, j)
+            assert bool(g.adjacency[i] >> j & 1) == bool(m[i, j]) == g.has_edge(i, j)
+        assert g.adjacency[i] >> 10 == 0
+
+
+def test_asymmetric_correlation_is_rejected():
+    with pytest.raises(ValueError, match="symmetric"):
+        build_graph(corr_from([[1.0, 0.5, 0.1], [0.1, 1.0, 0.1], [0.1, 0.1, 1.0]]), 0.3)
+
+
+@pytest.mark.parametrize(
+    "matrix, tickers",
+    [
+        ([[False, True], [False, False]], ("a", "b")),  # not symmetric
+        ([[True, False], [False, False]], ("a", "b")),  # self-loop
+        ([[0, 1], [1, 0]], ("a", "b")),  # not bool
+        ([[False, True], [True, False]], ("a", "b", "c")),  # one row per ticker
+        ([[False, True]], ("a",)),  # not square
+    ],
+)
+def test_market_graph_rejects_malformed_matrix(matrix, tickers):
+    with pytest.raises(ValueError):
+        MarketGraph(tickers=tickers, theta=0.0, adjacency_matrix=np.array(matrix))
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -132,3 +155,20 @@ def test_graph_from_edges_rejects_bad_input():
         graph_from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         graph_from_edges(3, [(0, 5)])
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("x 0.2\n", 1),  # node count not an integer
+        ("-3 0.2\n", 1),  # negative node count
+        ("3 high\n", 1),  # theta not a number
+        ("3\n", 1),  # theta missing
+        ("3 0.2\n0 1\n1 b\n", 3),  # edge endpoint not an integer
+    ],
+)
+def test_read_edge_list_names_file_and_line(tmp_path, text, line):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"graph.txt: line {line}: expected"):
+        read_edge_list(path)

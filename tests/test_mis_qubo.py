@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_bit_configs, brute_force_mis_size, er_graph, feasible_mask
+from helpers import (
+    all_bit_configs,
+    brute_force_mis_size,
+    er_graph,
+    feasible_mask,
+    ref_greedy,
+    ref_repair,
+    ref_verify,
+)
 from misfolio.market_graph import build_graph, graph_from_edges
 from misfolio.mis_qubo import (
     GraphTooLargeError,
@@ -25,7 +33,7 @@ from misfolio.mis_qubo import (
     to_qubo,
     verify,
 )
-from misfolio.timeseries import CorrelationMatrix
+from misfolio.timeseries import CorrelationMatrix, correlation, log_returns, synth_panel
 
 
 def cycle(n):
@@ -145,6 +153,8 @@ def test_edge_value_set_for_uniform_couplings():
         [[0.0, 1.0], [0.0, 0.0]],  # not symmetric
         [[1.0, 0.0], [0.0, 0.0]],  # self-loop
         [[0.0, 1.0]],  # not square
+        [[False, True], [False, False]],  # bool, not symmetric
+        [[True, False], [False, False]],  # bool, self-loop
     ],
 )
 def test_qubo_rejects_malformed_adjacency(adjacency):
@@ -306,3 +316,24 @@ def test_repair_produces_feasible_superset_quality():
     assert verify(g, fixed.selected)[0]
     assert fixed.feasible is True
     assert fixed.size >= 1
+
+
+def _oracle_graphs():
+    rng = np.random.default_rng(2024)
+    for k in range(200):
+        yield f"er{k}", er_graph(int(rng.integers(1, 41)), float(rng.uniform(0.02, 0.9)), seed=k)
+    panel = synth_panel(200, 1512, 3, 0)
+    returns = log_returns(panel)
+    corr = correlation(returns, returns.n_rows)
+    for theta in (0.18, 0.25, 0.36):
+        yield f"market theta={theta}", build_graph(corr, theta)
+
+
+def test_matrix_greedy_verify_repair_match_bitmask_references():
+    rng = np.random.default_rng(7)
+    for label, g in _oracle_graphs():
+        n = g.n_nodes
+        selected = tuple(int(i) for i in np.flatnonzero(rng.random(n) < rng.uniform(0.05, 0.9)))
+        assert solve_greedy(g).selected == ref_greedy(g), label
+        assert verify(g, selected) == ref_verify(g, selected), label
+        assert repair(g, sol(selected, feasible=False)).selected == ref_repair(g, selected), label
