@@ -310,7 +310,7 @@ def _solve_month(graph: market_graph.MarketGraph, config: BacktestConfig, month_
     if config.solver == "exact":
         return mis_qubo.solve_exact(graph, node_limit=config.node_limit)
     params = SbParams(restarts=config.restarts, seed=derive_seed(config.seed, month_index))
-    return solve_mis_sb(graph, params, repair=True)
+    return solve_mis_sb(graph, params)
 
 
 def _month_weights(

@@ -32,7 +32,7 @@ from .backtest import (
 )
 from .market_graph import build_graph, edge_density, read_edge_list, write_edge_list
 from .mis_qubo import SolveTimeout, solve_exact, solve_greedy
-from .sb_solver import SbParams, solve_mis_sb_runs
+from .sb_solver import SbParams, solve_mis_sb, solve_mis_sb_runs
 from .timeseries import correlation, load_prices, log_returns, synth_panel, write_prices
 
 logger = logging.getLogger(__name__)
@@ -241,9 +241,8 @@ def cmd_bench(args, parser) -> int:
                     elif solver == "exact":
                         sol = solve_exact(graph, node_limit=n, time_budget=args.timeout_secs)
                     else:
-                        params = SbParams(seed=derive_seed(args.seed, n * 10_000 + gi))
-                        sol, _ = solve_mis_sb_runs(graph, params)
-                    size = sol.size if sol.feasible else None
+                        sol = solve_mis_sb(graph, SbParams(seed=derive_seed(args.seed, n * 10_000 + gi)))
+                    size = sol.size
                 except SolveTimeout:
                     size = None
                 results[solver].append((time.perf_counter() - t0, size))

@@ -86,8 +86,8 @@ def build_graph(corr: CorrelationMatrix, theta: float) -> MarketGraph:
     return MarketGraph(tickers=tuple(corr.tickers), theta=float(theta), adjacency_matrix=mask)
 
 
-def graph_from_edges(n_nodes: int, edges, theta: float = 0.0, tickers=None) -> MarketGraph:
-    """Build a graph from an iterable of (i, j) pairs; self-loops rejected."""
+def graph_from_edges(n_nodes: int, edges, theta: float = 0.0) -> MarketGraph:
+    """Build a graph on tickers ``"0" .. "n-1"`` from (i, j) pairs; self-loops rejected."""
     a = np.zeros((n_nodes, n_nodes), dtype=bool)
     for i, j in edges:
         if i == j:
@@ -95,9 +95,8 @@ def graph_from_edges(n_nodes: int, edges, theta: float = 0.0, tickers=None) -> M
         if not (0 <= i < n_nodes and 0 <= j < n_nodes):
             raise ValueError(f"edge ({i}, {j}) out of range for n={n_nodes}")
         a[i, j] = a[j, i] = True
-    if tickers is None:
-        tickers = tuple(str(i) for i in range(n_nodes))
-    return MarketGraph(tickers=tuple(tickers), theta=float(theta), adjacency_matrix=a)
+    tickers = tuple(str(i) for i in range(n_nodes))
+    return MarketGraph(tickers=tickers, theta=float(theta), adjacency_matrix=a)
 
 
 def edge_density(graph: MarketGraph) -> float:
@@ -137,7 +136,12 @@ def read_edge_list(path) -> MarketGraph:
                 continue
             try:
                 i, j = (int(part) for part in parts)
+                if i == j or not (0 <= i < n and 0 <= j < n):
+                    raise ValueError
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: expected 'i j', got {line.strip()!r}") from None
+                raise ValueError(
+                    f"{path}: line {lineno}: expected 'i j', two distinct nodes in [0, {n}), "
+                    f"got {line.strip()!r}"
+                ) from None
             edges.append((i, j))
     return graph_from_edges(n, edges, theta=theta)

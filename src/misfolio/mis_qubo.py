@@ -2,11 +2,13 @@
 
 The QUBO cost over bits ``b in {0,1}^n`` is
 
-    cost(b) = penalty * sum_{(i,j) in E} b_i b_j  -  reward * sum_i b_i
+    cost(b) = PENALTY * sum_{(i,j) in E} b_i b_j  -  REWARD * sum_i b_i
 
-with each edge counted once per unordered pair.  ``reward < penalty`` makes
-any constraint violation cost more than the node it gains, so the minima
-over all configurations are exactly the maximum independent sets.
+with each edge counted once per unordered pair and the fixed weights
+``PENALTY = 2``, ``REWARD = 1``.  Any penalty above the reward makes a
+constraint violation cost more than the node it gains, so the minima over
+all configurations are exactly the maximum independent sets (Lucas,
+*Front. Phys.* 2, 5 (2014)); a larger penalty would not change them.
 
 Spin form: substituting ``b = (s + 1) / 2`` and collecting terms gives the
 Ising energy convention shared by every consumer in this package,
@@ -14,8 +16,8 @@ Ising energy convention shared by every consumer in this package,
     E(s) = -1/2 sum_{i != j} J_ij s_i s_j - sum_i h_i s_i,
     cost(b(s)) = E(s) + offset,
 
-with ``J_ij = -penalty/4`` on edges, ``h_i = reward/2 - penalty*deg_i/4``
-and ``offset = penalty*|E|/4 - n*reward/2``.
+with ``J_ij = -PENALTY/4`` on edges, ``h_i = REWARD/2 - PENALTY*deg_i/4``
+and ``offset = PENALTY*|E|/4 - n*REWARD/2``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 
 from .market_graph import MarketGraph
 
-DEFAULT_PENALTY = 2.0
-DEFAULT_REWARD = 1.0
+PENALTY = 2.0
+REWARD = 1.0
 
 
 class GraphTooLargeError(ValueError):
@@ -42,29 +44,10 @@ class SolveTimeout(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class QuboProblem:
-    """MIS cost over bits: ``penalty`` on each edge of the ``adjacency``
-    matrix (0/1 or bool, symmetric, zero diagonal; held as bool) and
-    ``-reward`` on each bit."""
+    """MIS cost over one bit per node of ``graph``: ``PENALTY`` on each edge
+    and ``-REWARD`` on each bit."""
 
-    adjacency: np.ndarray
-    penalty: float = DEFAULT_PENALTY
-    reward: float = DEFAULT_REWARD
-
-    def __post_init__(self):
-        if not (0 < self.reward < self.penalty):
-            raise ValueError(
-                f"need 0 < reward < penalty, got reward={self.reward}, penalty={self.penalty}"
-            )
-        a = np.asarray(self.adjacency)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"adjacency must be a square matrix, got shape {a.shape}")
-        if a.dtype != np.bool_:
-            if np.any((a != 0) & (a != 1)):
-                raise ValueError("adjacency must be a symmetric 0/1 matrix with zero diagonal")
-            a = a != 0
-        if np.any(np.diagonal(a)) or not np.array_equal(a, a.T):
-            raise ValueError("adjacency must be a symmetric 0/1 matrix with zero diagonal")
-        object.__setattr__(self, "adjacency", a)
+    graph: MarketGraph
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,12 +82,12 @@ class MisSolution:
     feasible: bool | None
     source: str
 
-    def to_json_dict(self, tickers=None) -> dict:
+    def to_json_dict(self, tickers) -> dict:
         return {
             "size": self.size,
             "feasible": bool(self.feasible),
             "nodes": list(self.selected),
-            "tickers": [tickers[i] for i in self.selected] if tickers is not None else [],
+            "tickers": [tickers[i] for i in self.selected],
             "source": self.source,
         }
 
@@ -114,9 +97,9 @@ class MisSolution:
 NO_FEASIBLE = MisSolution(selected=(), size=0, feasible=False, source="none")
 
 
-def to_qubo(graph: MarketGraph, penalty: float = DEFAULT_PENALTY, reward: float = DEFAULT_REWARD) -> QuboProblem:
-    """Encode MIS on ``graph``: +penalty per selected edge, -reward per node."""
-    return QuboProblem(adjacency=graph.adjacency_matrix, penalty=penalty, reward=reward)
+def to_qubo(graph: MarketGraph) -> QuboProblem:
+    """Encode MIS on ``graph``: +PENALTY per selected edge, -REWARD per node."""
+    return QuboProblem(graph)
 
 
 def qubo_cost(problem: QuboProblem, bits) -> float:
@@ -127,20 +110,20 @@ def qubo_cost_many(problem: QuboProblem, bit_rows: np.ndarray) -> np.ndarray:
     """Vectorized cost for a (m, n) matrix of configurations."""
     b = np.asarray(bit_rows, dtype=np.float64)
     # each selected edge appears twice in b A b'
-    selected_edges = ((b @ problem.adjacency) * b).sum(axis=1) / 2.0
-    return b @ np.full(len(problem.adjacency), -problem.reward) + problem.penalty * selected_edges
+    selected_edges = ((b @ problem.graph.adjacency_matrix) * b).sum(axis=1) / 2.0
+    return PENALTY * selected_edges - REWARD * b.sum(axis=1)
 
 
 def qubo_to_ising(problem: QuboProblem) -> IsingProblem:
     """Closed form of ``b = (s+1)/2`` (see the module docstring)."""
-    a = problem.adjacency
+    a = problem.graph.adjacency_matrix
     n = len(a)
     deg = a.sum(axis=1)
-    # not -(penalty/4) * a, which would put -0.0 on every non-edge
-    j = np.where(a, -problem.penalty / 4.0, 0.0)
-    h = problem.reward / 2.0 - problem.penalty * deg / 4.0
+    # not -(PENALTY/4) * a, which would put -0.0 on every non-edge
+    j = np.where(a, -PENALTY / 4.0, 0.0)
+    h = REWARD / 2.0 - PENALTY * deg / 4.0
     n_edges = float(deg.sum()) / 2.0
-    offset = float(np.full(n, -problem.reward).sum()) / 2.0 + problem.penalty * n_edges / 4.0
+    offset = -n * REWARD / 2.0 + PENALTY * n_edges / 4.0
     return IsingProblem(n_spins=n, j=j, h=h, offset=offset)
 
 
@@ -149,13 +132,13 @@ def ising_energy(problem: IsingProblem, spins) -> float:
     return float(-0.5 * s @ (problem.j @ s) - problem.h @ s)
 
 
-def decode(spins, source: str = "sb") -> MisSolution:
-    """Node set where the spin is +1.  Unverified (``feasible=None``)."""
+def decode(spins) -> MisSolution:
+    """bSB node set where the spin is +1.  Unverified (``feasible=None``)."""
     s = np.asarray(spins)
     if not np.all((s == 1) | (s == -1)):
         raise ValueError("spins must be -1 or +1")
     selected = tuple(int(i) for i in np.flatnonzero(s == 1))
-    return MisSolution(selected=selected, size=len(selected), feasible=None, source=source)
+    return MisSolution(selected=selected, size=len(selected), feasible=None, source="sb")
 
 
 def verify(graph: MarketGraph, selected) -> tuple[bool, list[tuple[int, int]]]:

@@ -58,9 +58,8 @@ A run's state therefore stays finite, and no step checks it.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,26 +102,6 @@ class SbParams:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def params_from_json(path) -> SbParams:
-    """Load solver config; ``"coupling_scale": null`` selects the default.
-
-    Raises ValueError unless the file holds a JSON object whose keys are
-    ``SbParams`` fields.
-    """
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: solver config must be a JSON object, got {type(raw).__name__}")
-    known = [f.name for f in fields(SbParams)]
-    unknown = sorted(set(raw) - set(known))
-    if unknown:
-        raise ValueError(f"{path}: unknown solver config keys {unknown}; known keys are {known}")
-    return SbParams(**raw)
 
 
 @dataclass
@@ -230,6 +209,10 @@ def solve_mis_sb_runs(
     return select_best(run.decoded for run in runs), runs
 
 
-def solve_mis_sb(graph: MarketGraph, params: SbParams, repair: bool = False) -> MisSolution:
-    best, _ = solve_mis_sb_runs(graph, params, repair=repair)
+def solve_mis_sb(graph: MarketGraph, params: SbParams) -> MisSolution:
+    """Largest independent set over the restarts, each repaired if infeasible.
+
+    Always feasible; :func:`solve_mis_sb_runs` gives the unrepaired runs.
+    """
+    best, _ = solve_mis_sb_runs(graph, params, repair=True)
     return best

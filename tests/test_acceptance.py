@@ -101,7 +101,7 @@ def test_criterion_3_sb_finds_exact_independence_number():
     for g in range(100):
         graph = er_graph(20, 0.3, seed=int(rng.integers(0, 2**31)))
         best = solve_mis_sb(graph, SbParams(restarts=10, seed=g))
-        hits += best.feasible is True and best.size == solve_exact(graph).size
+        hits += verify(graph, best.selected)[0] and best.size == solve_exact(graph).size
     elapsed = time.perf_counter() - t0
     report(
         "3 sb solution quality",
@@ -118,7 +118,7 @@ def test_criterion_4_sb_not_inferior_to_greedy_on_market_graphs():
         returns = log_returns(panel)
         graph = build_graph(correlation(returns, returns.n_rows), 0.25)
         sol = solve_mis_sb(graph, SbParams(restarts=10, seed=g))
-        assert sol.feasible is True
+        assert verify(graph, sol.selected)[0]
         sb_sizes.append(sol.size)
         greedy_sizes.append(solve_greedy(graph).size)
     sb_mean, greedy_mean = np.mean(sb_sizes), np.mean(greedy_sizes)
@@ -326,7 +326,7 @@ def test_criterion_10_large_instance_under_a_minute():
     elapsed = time.perf_counter() - t0
     report(
         "10 large-instance runtime",
-        sol.feasible is True and elapsed < 60,
+        verify(graph, sol.selected)[0] and elapsed < 60,
         f"n={graph.n_nodes}, density {graph.n_edges / (graph.n_nodes * (graph.n_nodes - 1) / 2):.3f}: "
         f"10 restarts x 1000 steps in {elapsed:.1f}s, "
         f"selected {sol.size} names",

@@ -1,10 +1,13 @@
 import csv
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
 
+from misfolio import cli
+from misfolio.sb_solver import SbParams
 from misfolio.timeseries import load_prices
 
 
@@ -226,6 +229,22 @@ def test_bench_exact_timeout_recorded_not_fatal(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["n_timeouts"] == "1"
     assert rows[0]["mean_relative_size"] == ""
+
+
+def test_bench_sb_without_a_feasible_restart_is_not_a_timeout(tmp_path, monkeypatch):
+    # one bSB step leaves the restarts infeasible; the repaired solve still
+    # gives a size, and only the exact solver can time out
+    monkeypatch.setattr(cli, "SbParams", functools.partial(SbParams, n_steps=1))
+    out = tmp_path / "bench.csv"
+    parser = cli.build_parser()
+    args = parser.parse_args(
+        ["bench", "--sizes", "12,30", "--graphs-per-size", "2", "--solvers", "sb,greedy", "--out", str(out)]
+    )
+    assert cli.cmd_bench(args, parser) == 0
+    with open(out) as fh:
+        rows = [row for row in csv.DictReader(fh) if row["solver"] == "sb"]
+    assert [row["n_timeouts"] for row in rows] == ["0", "0"]
+    assert all(float(row["mean_size"]) >= 1 and float(row["mean_relative_size"]) > 0 for row in rows)
 
 
 def test_unknown_solver_is_usage_error(tmp_path):

@@ -1,5 +1,6 @@
-"""The README's library example and the package exports name only live code."""
+"""The README's library example, its dotted names and the package exports name only live code."""
 
+import functools
 import re
 from pathlib import Path
 
@@ -20,3 +21,18 @@ def test_every_exported_name_resolves():
     missing = [name for name in misfolio.__all__ if not hasattr(misfolio, name)]
     assert missing == []
     assert len(set(misfolio.__all__)) == len(misfolio.__all__)
+
+
+def test_every_dotted_name_in_readme_resolves():
+    names = sorted(set(re.findall(r"\bmisfolio(?:\.\w+)+", README.read_text(encoding="utf-8"))))
+    assert names  # the pattern still finds the README's references
+    missing = [name for name in names if not _resolves(name)]
+    assert missing == []
+
+
+def _resolves(dotted: str) -> bool:
+    try:
+        functools.reduce(getattr, dotted.split(".")[1:], misfolio)
+    except AttributeError:
+        return False
+    return True

@@ -165,6 +165,8 @@ def test_graph_from_edges_rejects_bad_input():
         ("3 high\n", 1),  # theta not a number
         ("3\n", 1),  # theta missing
         ("3 0.2\n0 1\n1 b\n", 3),  # edge endpoint not an integer
+        ("3 0.2\n0 5\n", 2),  # edge endpoint out of range
+        ("3 0.2\n1 1\n", 2),  # self-loop
     ],
 )
 def test_read_edge_list_names_file_and_line(tmp_path, text, line):

@@ -14,12 +14,13 @@ from helpers import (
     ref_repair,
     ref_verify,
 )
-from misfolio.market_graph import build_graph, graph_from_edges
+from misfolio.market_graph import MarketGraph, build_graph, graph_from_edges
 from misfolio.mis_qubo import (
+    PENALTY,
+    REWARD,
     GraphTooLargeError,
     MisSolution,
     NO_FEASIBLE,
-    QuboProblem,
     SolveTimeout,
     decode,
     ising_energy,
@@ -45,14 +46,6 @@ def complete(n):
 
 
 # --- QUBO encoding ----------------------------------------------------------
-
-def test_qubo_rejects_reward_not_below_penalty():
-    g = graph_from_edges(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        to_qubo(g, penalty=1.0, reward=1.0)
-    with pytest.raises(ValueError):
-        to_qubo(g, penalty=1.0, reward=2.0)
-
 
 def test_qubo_empty_selection_costs_zero():
     q = to_qubo(er_graph(6, 0.5, seed=0))
@@ -83,7 +76,7 @@ def test_feasible_cost_equals_minus_reward_times_size():
     ok = feasible_mask(g, bits)
     costs = qubo_cost_many(q, bits)
     sizes = bits.sum(axis=1)
-    assert np.array_equal(costs[ok], -q.reward * sizes[ok])
+    assert np.array_equal(costs[ok], -REWARD * sizes[ok])
 
 
 def test_violating_flip_raises_cost():
@@ -102,15 +95,14 @@ def ising_energies_all(problem, spins_rows):
 
 
 def test_edgeless_qubo_maps_to_bias_only_ising():
-    q = QuboProblem(adjacency=np.zeros((3, 3)), penalty=2.2, reward=1.3)
-    p = qubo_to_ising(q)
+    p = qubo_to_ising(to_qubo(graph_from_edges(3, [])))
     assert np.array_equal(p.j, np.zeros((3, 3)))
-    assert np.array_equal(p.h, np.full(3, 1.3 / 2.0))
-    assert p.offset == pytest.approx(-3 * 1.3 / 2.0, abs=1e-12)
+    assert np.array_equal(p.h, np.full(3, REWARD / 2.0))
+    assert p.offset == -3 * REWARD / 2.0
 
 
 def test_single_bit_qubo_bias_points_up():
-    q = QuboProblem(adjacency=np.zeros((1, 1)))
+    q = to_qubo(graph_from_edges(1, []))
     p = qubo_to_ising(q)
     assert p.h[0] == 0.5  # positive bias favors s = +1
     assert p.offset == -0.5
@@ -158,26 +150,27 @@ def test_edge_value_set_for_uniform_couplings():
     ],
 )
 def test_qubo_rejects_malformed_adjacency(adjacency):
+    # a QUBO is stated only over a MarketGraph, whose constructor refuses these
+    a = np.array(adjacency)
     with pytest.raises(ValueError):
-        QuboProblem(adjacency=np.array(adjacency))
+        to_qubo(MarketGraph(tickers=("a", "b")[: len(a)], theta=0.0, adjacency_matrix=a))
 
 
 def test_closed_form_matches_per_edge_expansion():
-    # reference: expand b = (s+1)/2 one edge at a time, at a penalty whose
-    # quarter is not a power of two
+    # reference: expand b = (s+1)/2 one edge at a time; every term is a
+    # multiple of 1/2, so both forms are exact
     g = er_graph(15, 0.4, seed=5)
-    q = to_qubo(g, penalty=2.2, reward=1.3)
-    p = qubo_to_ising(q)
-    j, h = np.zeros((15, 15)), np.full(15, 1.3 / 2.0)
-    offset = -15 * 1.3 / 2.0
+    p = qubo_to_ising(to_qubo(g))
+    j, h = np.zeros((15, 15)), np.full(15, REWARD / 2.0)
+    offset = -15 * REWARD / 2.0
     for a, b in g.edges():
-        j[a, b] = j[b, a] = -2.2 / 4.0
-        h[a] -= 2.2 / 4.0
-        h[b] -= 2.2 / 4.0
-        offset += 2.2 / 4.0
+        j[a, b] = j[b, a] = -PENALTY / 4.0
+        h[a] -= PENALTY / 4.0
+        h[b] -= PENALTY / 4.0
+        offset += PENALTY / 4.0
     assert np.array_equal(p.j, j)
-    assert np.allclose(p.h, h, rtol=0, atol=1e-12)
-    assert p.offset == pytest.approx(offset, abs=1e-12)
+    assert np.array_equal(p.h, h)
+    assert p.offset == offset
 
 
 # --- decode / verify ---------------------------------------------------------

@@ -1,4 +1,4 @@
-import json
+import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from helpers import all_bit_configs, er_graph, sb_stepper
 from misfolio.market_graph import build_graph, graph_from_edges
-from misfolio.mis_qubo import IsingProblem, ising_energy, qubo_to_ising, solve_exact, to_qubo, verify
+from misfolio.mis_qubo import NO_FEASIBLE, IsingProblem, ising_energy, qubo_to_ising, solve_exact, to_qubo, verify
 from misfolio.sb_solver import (
     SbParams,
     default_coupling_scale,
     digitize,
-    params_from_json,
     run_seed_key,
     sb_solve,
     solve_mis_sb,
@@ -47,7 +46,7 @@ def brute_force_min_energy(problem):
 def test_params_defaults():
     p = SbParams()
     assert (p.n_steps, p.dt, p.alpha0, p.restarts, p.seed) == (1000, 0.2, 1.0, 10, 0)
-    assert list(p.to_json_dict()) == ["n_steps", "dt", "alpha0", "coupling_scale", "restarts", "seed"]
+    assert [f.name for f in dataclasses.fields(p)] == ["n_steps", "dt", "alpha0", "coupling_scale", "restarts", "seed"]
     assert p.coupling_scale is None
 
 
@@ -68,48 +67,6 @@ def test_params_defaults():
 def test_params_validation(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         SbParams(**kwargs)
-
-
-def test_params_json_round_trip(tmp_path):
-    path = tmp_path / "solver.json"
-    path.write_text(json.dumps({
-        "n_steps": 500, "dt": 0.1, "alpha0": 1.0,
-        "coupling_scale": None, "restarts": 4, "seed": 9,
-    }))
-    p = params_from_json(path)
-    assert p.n_steps == 500 and p.restarts == 4 and p.coupling_scale is None
-    assert p.to_json_dict()["coupling_scale"] is None
-
-
-def test_params_json_round_trip_keeps_every_field(tmp_path):
-    path = tmp_path / "solver.json"
-    saved = SbParams(n_steps=300, dt=0.1, alpha0=0.9, coupling_scale=0.7, restarts=3, seed=5)
-    path.write_text(json.dumps(saved.to_json_dict()))
-    assert params_from_json(path) == saved
-
-
-@pytest.mark.parametrize(
-    "raw, names",
-    [
-        ({"n_steps": 500, "eta": 0.2, "bias_conditioning": True}, ["bias_conditioning", "eta"]),
-        ({"restart": 4}, ["restart"]),
-    ],
-    ids=["removed-knobs", "typo"],
-)
-def test_params_json_rejects_unknown_keys(tmp_path, raw, names):
-    path = tmp_path / "solver.json"
-    path.write_text(json.dumps(raw))
-    with pytest.raises(ValueError, match="unknown solver config keys") as err:
-        params_from_json(path)
-    assert str(names) in str(err.value)
-
-
-@pytest.mark.parametrize("raw", [[1000, 0.2], "n_steps", None])
-def test_params_json_rejects_non_object(tmp_path, raw):
-    path = tmp_path / "solver.json"
-    path.write_text(json.dumps(raw))
-    with pytest.raises(ValueError, match="must be a JSON object"):
-        params_from_json(path)
 
 
 def masked_coupling_scale(problem):
@@ -377,3 +334,12 @@ def test_mis_repair_flag_promotes_infeasible_runs():
     assert all(r.decoded.feasible for r in runs_rep)
     assert best_rep.size >= best_plain.size
     assert verify(g, best_rep.selected)[0]
+
+
+def test_mis_sb_repairs_when_no_restart_is_feasible():
+    k6 = graph_from_edges(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    params = SbParams(n_steps=1, restarts=3, seed=1)
+    assert solve_mis_sb_runs(k6, params)[0] is NO_FEASIBLE  # one step: every restart infeasible
+    sol = solve_mis_sb(k6, params)
+    assert sol.size == 1 and sol.feasible is True
+    assert verify(k6, sol.selected) == (True, [])
