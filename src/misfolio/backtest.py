@@ -108,12 +108,15 @@ class Portfolio:
 class MonthRecord:
     date: str
     ret: float | None
-    n_constituents: int
     edge_density: float
     turnover: float
     cost: float
     feasible: bool
     weights: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def n_constituents(self) -> int:
+        return len(self.weights)
 
 
 @dataclass
@@ -380,7 +383,6 @@ def run_backtest(panel: PricePanel, config: BacktestConfig) -> BacktestReport:
             MonthRecord(
                 date=date,
                 ret=None if prev_value is None else monthly_return(prev_value, portfolio.value),
-                n_constituents=len(portfolio.shares),
                 edge_density=density,
                 turnover=turnover,
                 cost=cost,
@@ -406,33 +408,16 @@ def write_cumulative_csv(report: BacktestReport, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["date", "monthly_return", "cumulative_return"])
-        cum = 1.0
+        cumulative = iter(report.cumulative.tolist())
         for m in report.months:
             if m.ret is None:
                 w.writerow([m.date, "", repr(0.0)])
-                continue
-            cum *= 1.0 + m.ret
-            w.writerow([m.date, repr(m.ret), repr(cum - 1.0)])
+            else:
+                w.writerow([m.date, repr(m.ret), repr(next(cumulative))])
 
 
 # ---------------------------------------------------------------------------
 # theta sweep
-
-SWEEP_COLUMNS = [
-    "theta",
-    "weighting",
-    "density_max",
-    "density_min",
-    "density_avg",
-    "size_max",
-    "size_min",
-    "size_avg",
-    "size_sd",
-    "annual_return",
-    "annual_risk",
-    "sharpe",
-]
-
 
 @dataclass
 class SweepRow:
@@ -449,6 +434,10 @@ class SweepRow:
     annual_risk: float = math.nan
     sharpe: float = math.nan
     error: str | None = None
+
+
+#: the statistics columns of a sweep CSV, in order; the last column is ``error``
+SWEEP_COLUMNS = [f.name for f in dataclasses.fields(SweepRow) if f.name != "error"]
 
 
 #: errors that fail one sweep setting without stopping the sweep
@@ -520,13 +509,13 @@ def sweep_theta(
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
+    """One CSV row per :class:`SweepRow`, its fields in order; NaN and None are empty cells."""
+    names = [f.name for f in dataclasses.fields(SweepRow)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(SWEEP_COLUMNS + ["error"])
+        w.writerow(names)
         for r in rows:
-            w.writerow(
-                [_csv_cell(getattr(r, c)) for c in SWEEP_COLUMNS] + [r.error or ""]
-            )
+            w.writerow([_csv_cell(getattr(r, c)) for c in names])
 
 
 def _csv_cell(v):

@@ -54,7 +54,6 @@ class QuboProblem:
 class IsingProblem:
     """Symmetric coupling matrix J (zero diagonal), bias h, energy offset; all finite."""
 
-    n_spins: int
     j: np.ndarray
     h: np.ndarray
     offset: float
@@ -64,13 +63,17 @@ class IsingProblem:
         h = np.asarray(self.h, dtype=np.float64)
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "h", h)
-        if j.shape != (self.n_spins, self.n_spins) or h.shape != (self.n_spins,):
-            raise ValueError("J/h shapes must match n_spins")
+        if h.ndim != 1 or j.shape != (len(h), len(h)):
+            raise ValueError(f"h must be a vector and J (len(h), len(h)); got shapes {h.shape} and {j.shape}")
         # one scalar catches inf/NaN entries and a Frobenius norm that overflows
         if not (math.isfinite(float(np.vdot(j, j))) and np.isfinite(h).all() and math.isfinite(self.offset)):
             raise ValueError("J, h and offset must be finite, and sum(J**2) must not overflow")
         if np.any(np.diagonal(j) != 0.0) or not np.array_equal(j, j.T):
             raise ValueError("J must be symmetric with zero diagonal")
+
+    @property
+    def n_spins(self) -> int:
+        return len(self.h)
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,12 @@ class MisSolution:
     """A candidate node set.  ``feasible`` is None until verified."""
 
     selected: tuple[int, ...]
-    size: int
     feasible: bool | None
     source: str
+
+    @property
+    def size(self) -> int:
+        return len(self.selected)
 
     def to_json_dict(self, tickers) -> dict:
         return {
@@ -94,7 +100,7 @@ class MisSolution:
 
 #: marker for "no verification-passed candidate"; recognizable because an
 #: empty set is otherwise always feasible
-NO_FEASIBLE = MisSolution(selected=(), size=0, feasible=False, source="none")
+NO_FEASIBLE = MisSolution(selected=(), feasible=False, source="none")
 
 
 def to_qubo(graph: MarketGraph) -> QuboProblem:
@@ -124,7 +130,7 @@ def qubo_to_ising(problem: QuboProblem) -> IsingProblem:
     h = REWARD / 2.0 - PENALTY * deg / 4.0
     n_edges = float(deg.sum()) / 2.0
     offset = -n * REWARD / 2.0 + PENALTY * n_edges / 4.0
-    return IsingProblem(n_spins=n, j=j, h=h, offset=offset)
+    return IsingProblem(j=j, h=h, offset=offset)
 
 
 def ising_energy(problem: IsingProblem, spins) -> float:
@@ -138,7 +144,7 @@ def decode(spins) -> MisSolution:
     if not np.all((s == 1) | (s == -1)):
         raise ValueError("spins must be -1 or +1")
     selected = tuple(int(i) for i in np.flatnonzero(s == 1))
-    return MisSolution(selected=selected, size=len(selected), feasible=None, source="sb")
+    return MisSolution(selected=selected, feasible=None, source="sb")
 
 
 def verify(graph: MarketGraph, selected) -> tuple[bool, list[tuple[int, int]]]:
@@ -169,10 +175,8 @@ def _min_degree_order(adjacency: np.ndarray):
 
 def solve_greedy(graph: MarketGraph) -> MisSolution:
     """Minimum-degree greedy: pick, delete closed neighborhood, repeat."""
-    selected = sorted(_min_degree_order(graph.adjacency_matrix))
-    return MisSolution(
-        selected=tuple(selected), size=len(selected), feasible=True, source="greedy"
-    )
+    selected = tuple(sorted(_min_degree_order(graph.adjacency_matrix)))
+    return MisSolution(selected=selected, feasible=True, source="greedy")
 
 
 def _clique_cover_bound(candidates: int, adjacency) -> int:
@@ -253,7 +257,7 @@ def solve_exact(graph: MarketGraph, node_limit: int = 64, time_budget: float | N
 
     expand((1 << n) - 1, 0, 0)
     selected = tuple(i for i in range(n) if best_mask >> i & 1) if best_mask else incumbent.selected
-    return MisSolution(selected=selected, size=best_size, feasible=True, source="exact")
+    return MisSolution(selected=selected, feasible=True, source="exact")
 
 
 def select_best(candidates) -> MisSolution:
@@ -285,7 +289,4 @@ def repair(graph: MarketGraph, solution: MisSolution) -> MisSolution:
     kept[list(keep)] = True
     free = np.flatnonzero(~(kept | a[kept].any(axis=0)))
     keep.update(int(free[u]) for u in _min_degree_order(a[np.ix_(free, free)]))
-    selected = tuple(sorted(keep))
-    return replace(
-        solution, selected=selected, size=len(selected), feasible=True, source=solution.source + "+repair"
-    )
+    return replace(solution, selected=tuple(sorted(keep)), feasible=True, source=solution.source + "+repair")

@@ -47,7 +47,9 @@ class PricePanel:
     """Dated matrix of positive, dividend-adjusted closing prices.
 
     ``prices[t, i]`` is the close of ``tickers[i]`` on ``dates[t]``.
-    Dates are ISO-8601 strings, strictly increasing.
+    Dates are ISO-8601 strings, strictly increasing.  ``prices`` is stored
+    C-contiguous, so a panel gives the same bits whether it was loaded or
+    built in memory (reductions sum in memory order).
     """
 
     dates: tuple[str, ...]
@@ -55,7 +57,7 @@ class PricePanel:
     prices: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.prices, dtype=np.float64)
+        p = np.ascontiguousarray(self.prices, dtype=np.float64)
         object.__setattr__(self, "prices", p)
         if p.shape != (len(self.dates), len(self.tickers)):
             raise ValueError(
@@ -101,7 +103,6 @@ class CorrelationMatrix:
 
     tickers: tuple[str, ...]
     values: np.ndarray
-    window_days: int
     zero_variance: tuple[int, ...] = field(default=())
 
 
@@ -247,7 +248,6 @@ def correlation(returns: ReturnMatrix, window_days: int) -> CorrelationMatrix:
     return CorrelationMatrix(
         tickers=returns.tickers,
         values=c,
-        window_days=window_days,
         zero_variance=tuple(int(i) for i in flagged),
     )
 

@@ -143,7 +143,7 @@ def test_criterion_5_wall_invariant_and_thread_determinism():
         problem_j, problem_h = j, rng.uniform(-2, 2, n)
         from misfolio.mis_qubo import IsingProblem
 
-        problem = IsingProblem(n_spins=n, j=problem_j, h=problem_h, offset=0.0)
+        problem = IsingProblem(j=problem_j, h=problem_h, offset=0.0)
         x, p = rng.uniform(-1, 1, (1, n)), rng.uniform(-3, 3, (1, n))
         step = sb_stepper(problem, SbParams(n_steps=100), x, p)
         for k in range(100):

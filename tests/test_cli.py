@@ -1,5 +1,6 @@
 import csv
 import functools
+import itertools
 import json
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import sys
 import pytest
 
 from misfolio import cli
+from misfolio.market_graph import read_edge_list
+from misfolio.mis_qubo import verify
 from misfolio.sb_solver import SbParams
 from misfolio.timeseries import load_prices
 
@@ -134,6 +137,23 @@ def test_solve_sb_prints_per_run_energies_and_is_deterministic(tmp_path):
     )
 
 
+def test_solve_sb_without_a_feasible_restart_writes_the_repaired_best(tmp_path, monkeypatch, capsys):
+    # one bSB step leaves every restart on K6 infeasible; the written set is
+    # repaired, and the run lines still describe the sets before repair
+    monkeypatch.setattr(cli, "SbParams", functools.partial(SbParams, n_steps=1))
+    g = write_edge_list(tmp_path, 6, list(itertools.combinations(range(6), 2)))
+    out = tmp_path / "sol.json"
+    parser = cli.build_parser()
+    args = parser.parse_args(
+        ["--seed", "1", "solve", "--graph", str(g), "--solver", "sb", "--restarts", "3", "--out", str(out)]
+    )
+    assert cli.cmd_solve(args, parser) == 0
+    sol = json.loads(out.read_text())
+    assert sol["size"] == len(sol["nodes"]) == 1 and sol["feasible"] is True
+    assert verify(read_edge_list(g), sol["nodes"])[0]
+    assert "restarts: 0/3 feasible before repair, best size -, median size -" in capsys.readouterr().out
+
+
 # --- backtest ------------------------------------------------------------------------
 
 def test_backtest_writes_schema_compliant_report_and_cumulative_csv(tmp_path):
@@ -200,6 +220,18 @@ def test_sweep_single_theta_gives_one_row_per_weighting(tmp_path):
     assert len(rows) == 2
     assert {row["weighting"] for row in rows} == {"ew", "ivw"}
     assert all(row["theta"] == "0.2" for row in rows)
+
+
+def test_synth_then_sweep_greedy_writes_full_grid(tmp_path):
+    prices = synth(tmp_path, stocks=40, days=1010, seed=0)
+    out = tmp_path / "sweep.csv"
+    r = run_cli("sweep", "--prices", prices, "--window-days", 252, "--solver", "greedy", "--out", out)
+    assert r.returncode == 0, r.stderr
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 38  # 19 thetas x {ew, ivw}
+    assert all(row["error"] == "" for row in rows)
+    assert r.stdout.startswith("wrote 38 sweep rows")
 
 
 # --- bench --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The README's library example, its dotted names and the package exports name only live code."""
+"""The README's library example, its dotted names, its file paths and the package exports name only live code."""
 
 import functools
 import re
@@ -6,7 +6,8 @@ from pathlib import Path
 
 import misfolio
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_library_quickstart_runs(capsys):
@@ -27,6 +28,14 @@ def test_every_dotted_name_in_readme_resolves():
     names = sorted(set(re.findall(r"\bmisfolio(?:\.\w+)+", README.read_text(encoding="utf-8"))))
     assert names  # the pattern still finds the README's references
     missing = [name for name in names if not _resolves(name)]
+    assert missing == []
+
+
+def test_every_repository_path_in_readme_exists():
+    # a backticked relative path with at least one slash; package paths live under src/
+    paths = sorted(set(re.findall(r"`([\w.-]+(?:/[\w.-]+)+/?)`", README.read_text(encoding="utf-8"))))
+    assert paths  # the pattern still finds the README's references
+    missing = [p for p in paths if not (ROOT / ("src/" + p if p.startswith("misfolio/") else p)).exists()]
     assert missing == []
 
 

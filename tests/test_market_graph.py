@@ -16,11 +16,7 @@ from misfolio.timeseries import CorrelationMatrix
 
 def corr_from(values):
     values = np.asarray(values, dtype=float)
-    return CorrelationMatrix(
-        tickers=tuple(f"T{i}" for i in range(values.shape[0])),
-        values=values,
-        window_days=10,
-    )
+    return CorrelationMatrix(tickers=tuple(f"T{i}" for i in range(values.shape[0])), values=values)
 
 
 def three_stock_corr():

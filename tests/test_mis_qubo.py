@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -235,7 +236,7 @@ def test_exact_size_monotone_in_threshold():
     raw = rng.uniform(-1, 1, (12, 12))
     c = (raw + raw.T) / 2
     np.fill_diagonal(c, 1.0)
-    corr = CorrelationMatrix(tickers=tuple(map(str, range(12))), values=c, window_days=5)
+    corr = CorrelationMatrix(tickers=tuple(map(str, range(12))), values=c)
     sizes = [solve_exact(build_graph(corr, t)).size for t in (-0.5, 0.0, 0.3, 0.6, 1.01)]
     assert sizes == sorted(sizes)
 
@@ -276,7 +277,7 @@ def test_greedy_always_feasible_and_bounded_by_exact(n, seed):
 
 def sol(nodes, feasible=True, source="sb"):
     nodes = tuple(sorted(nodes))
-    return MisSolution(selected=nodes, size=len(nodes), feasible=feasible, source=source)
+    return MisSolution(selected=nodes, feasible=feasible, source=source)
 
 
 def test_select_best_prefers_feasible():
@@ -295,6 +296,12 @@ def test_select_best_no_feasible_marker():
     out = select_best([sol((0, 1), feasible=False)])
     assert out is NO_FEASIBLE
     assert out.feasible is False and out.size == 0
+
+
+def test_size_follows_selected_through_replace():
+    grown = dataclasses.replace(sol((0, 2)), selected=(0, 2, 4))
+    assert grown.size == 3
+    assert select_best([grown, sol((1, 3))]) == grown
 
 
 def test_select_best_rejects_empty_list():

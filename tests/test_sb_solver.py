@@ -24,7 +24,7 @@ from misfolio.timeseries import correlation, log_returns, synth_panel
 def ising(j, h, offset=0.0):
     j = np.asarray(j, dtype=float)
     h = np.asarray(h, dtype=float)
-    return IsingProblem(n_spins=len(h), j=j, h=h, offset=offset)
+    return IsingProblem(j=j, h=h, offset=offset)
 
 
 def random_problem(n, seed):
@@ -182,7 +182,6 @@ def test_solve_is_deterministic():
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.spins, rb.spins)
         assert ra.energy == rb.energy
-        assert ra.seed_used == rb.seed_used == run_seed_key(77, ra.run_index)
 
 
 def test_sb_solve_equals_composed_sb_steps():
@@ -269,6 +268,16 @@ def test_batched_restarts_match_single_run_reference(graph):
 def test_nonfinite_problem_is_rejected(j, h, offset):
     with pytest.raises(ValueError, match="finite"):
         ising(j, h, offset)
+
+
+@pytest.mark.parametrize(
+    "j, h",
+    [(np.zeros((2, 2)), np.zeros((2, 1))), (np.zeros((3, 3)), np.zeros(2)), (np.zeros((2, 3)), np.zeros(2)), (0.0, 0.0)],
+    ids=["h-matrix", "j-too-large", "j-not-square", "scalars"],
+)
+def test_misshapen_problem_is_rejected(j, h):
+    with pytest.raises(ValueError, match="h must be a vector"):
+        ising(j, h)
 
 
 def test_coupling_norm_overflow_is_rejected():

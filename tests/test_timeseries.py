@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misfolio.backtest import BacktestConfig, run_backtest
 from misfolio.timeseries import (
     EmptyUniverseError,
     InsufficientDataError,
@@ -106,6 +107,19 @@ def test_write_then_load_round_trip(tmp_path):
     assert again.tickers == panel.tickers
     assert again.dates == panel.dates
     assert np.array_equal(again.prices, panel.prices)
+
+
+def test_loaded_panel_gives_the_in_memory_bits(tmp_path):
+    panel = synth_panel(40, 1010, 3, 0)
+    write_prices(panel, tmp_path / "p.csv")
+    loaded = load_prices(tmp_path / "p.csv")
+    a, b = log_returns(panel), log_returns(loaded)
+    assert volatility(a, 252).tobytes() == volatility(b, 252).tobytes()
+    assert correlation(a, 252).values.tobytes() == correlation(b, 252).values.tobytes()
+    config = BacktestConfig(theta=0.25, weighting="ivw", lookback_days=252, solver="greedy")
+    ra, rb = run_backtest(panel, config), run_backtest(loaded, config)
+    assert repr(ra.months) == repr(rb.months)
+    assert repr(ra.summary) == repr(rb.summary)
 
 
 # --- log returns -----------------------------------------------------------
