@@ -318,19 +318,18 @@ def _solve_month(graph: market_graph.MarketGraph, config: BacktestConfig, month_
 
 def _month_weights(
     selection: mis_qubo.MisSolution,
-    window: timeseries.ReturnMatrix,
-    window_days: int,
+    tickers: tuple[str, ...],
+    vols: np.ndarray | None,
     config: BacktestConfig,
     date: str,
 ) -> dict[str, float] | None:
     """Target weights for the month's selection, or None to hold the book."""
     if selection.feasible is not True or selection.size == 0:
         return None
-    names = [window.tickers[i] for i in selection.selected]
+    names = [tickers[i] for i in selection.selected]
     if config.weighting == "ew":
         return weights_ew(names)
-    vols = timeseries.volatility(window, window_days)
-    vol_map = {window.tickers[i]: float(vols[i]) for i in selection.selected}
+    vol_map = {tickers[i]: float(vols[i]) for i in selection.selected}
     if config.drop_zero_vol:
         kept = [t for t in names if vol_map[t] > 0.0]
         if len(kept) < len(names):
@@ -339,62 +338,125 @@ def _month_weights(
     return weights_ivw(names, vol_map) if names else None
 
 
-def run_backtest(panel: PricePanel, config: BacktestConfig) -> BacktestReport:
-    """Simulate the strategy over every eligible month-end of ``panel``."""
-    returns = timeseries.log_returns(panel)
-    all_ends = month_end_indices(panel.dates)
-    # (month-end index, trailing window length in return rows)
-    if config.lookback_months is not None:
-        # anchor each window to the month-end `lookback_months` back
-        windows = [(di, di - all_ends[pos]) for pos, di in enumerate(all_ends[config.lookback_months:])]
-    else:
-        windows = [(di, config.lookback_days) for di in all_ends if di >= config.lookback_days]
-    if len(windows) < 2:
-        raise InsufficientDataError(
-            "panel must span the lookback plus at least two month-ends"
+#: errors that stop one book (one sweep row) without stopping the others
+_SWEEP_ROW_ERRORS = (
+    DataError,
+    InsufficientDataError,
+    ZeroVolatilityError,
+    AccountingError,
+    mis_qubo.GraphTooLargeError,
+    mis_qubo.SolveTimeout,
+)
+
+
+@dataclass
+class _Book:
+    """One (theta, weighting) simulation, advanced a month at a time."""
+
+    config: BacktestConfig
+    portfolio: Portfolio
+    months: list[MonthRecord] = field(default_factory=list)
+    error: Exception | None = None
+
+    def advance(self, date: str, density: float, weights: dict[str, float] | None, prices: dict[str, float]) -> None:
+        prev_value = self.portfolio.value
+        if weights is None:
+            # hold: the book rolls forward untouched at month-end prices,
+            # no trades, no cost; the month is flagged infeasible
+            turnover = cost = 0.0
+            if self.portfolio.shares:
+                self.portfolio.value = sum(s * prices[t] for t, s in self.portfolio.shares.items())
+        else:
+            # the month-end value is net of this month's trading costs, so
+            # the return series carries the cost drag
+            self.portfolio, turnover, cost = rebalance(self.portfolio, weights, prices, self.config.cost_rate, month=date)
+        self.months.append(
+            MonthRecord(
+                date=date,
+                ret=monthly_return(prev_value, self.portfolio.value) if self.months else None,
+                edge_density=density,
+                turnover=turnover,
+                cost=cost,
+                feasible=weights is not None,
+                weights=dict(self.portfolio.holdings),
+            )
         )
 
-    portfolio = Portfolio(holdings={}, shares={}, value=config.initial_value)
-    records: list[MonthRecord] = []
-    prev_value: float | None = None
+    def report(self) -> BacktestReport:
+        rets = [m.ret for m in self.months if m.ret is not None]
+        summary = summarize(rets) if len(rets) >= MONTHS_PER_YEAR else None
+        return BacktestReport(months=self.months, summary=summary)
+
+
+def _simulate(panel: PricePanel, configs: list[BacktestConfig], weightings: list[str]) -> list[_Book]:
+    """One book per (config, weighting), in that order, run in one pass over the months.
+
+    The configs differ only in ``theta`` and ``seed``.  Each month's window,
+    correlation and volatility are computed once for every book; each
+    config's graph is built and solved once, and its books share that
+    selection.  A data or solver error stops only the books it reaches and
+    is stored in their ``error``; any other exception propagates.
+    """
+    books = [
+        _Book(dataclasses.replace(c, weighting=w), Portfolio({}, {}, c.initial_value))
+        for c in configs
+        for w in weightings
+    ]
+    groups = [books[k : k + len(weightings)] for k in range(0, len(books), len(weightings))]
+    config = configs[0]
+    try:
+        returns = timeseries.log_returns(panel)
+        all_ends = month_end_indices(panel.dates)
+        # (month-end index, trailing window length in return rows)
+        if config.lookback_months is not None:
+            # anchor each window to the month-end `lookback_months` back
+            windows = [(di, di - all_ends[pos]) for pos, di in enumerate(all_ends[config.lookback_months:])]
+        else:
+            windows = [(di, config.lookback_days) for di in all_ends if di >= config.lookback_days]
+        if len(windows) < 2:
+            raise InsufficientDataError("panel must span the lookback plus at least two month-ends")
+    except InsufficientDataError as exc:
+        for book in books:
+            book.error = exc
+        return books
 
     for mi, (di, window_days) in enumerate(windows):
+        # months outside, thetas inside: one correlation matrix is alive at a time
+        live = [[b for b in group if b.error is None] for group in groups]
+        if not any(live):
+            break
         date = panel.dates[di]
         window = timeseries.ReturnMatrix(
             dates=returns.dates[:di], tickers=returns.tickers, values=returns.values[:di]
         )
         corr = timeseries.correlation(window, window_days)
-        graph = market_graph.build_graph(corr, config.theta)
-        density = market_graph.edge_density(graph) if graph.n_nodes >= 2 else 0.0
-        weights = _month_weights(_solve_month(graph, config, mi), window, window_days, config, date)
-
+        vols = timeseries.volatility(window, window_days) if "ivw" in weightings else None
         prices = dict(zip(panel.tickers, panel.prices[di].tolist()))
-        if weights is None:
-            # hold: the book rolls forward untouched at month-end prices,
-            # no trades, no cost; the month is flagged infeasible
-            turnover = cost = 0.0
-            if portfolio.shares:
-                portfolio.value = sum(s * prices[t] for t, s in portfolio.shares.items())
-        else:
-            # the month-end value is net of this month's trading costs, so
-            # the return series carries the cost drag
-            portfolio, turnover, cost = rebalance(portfolio, weights, prices, config.cost_rate, month=date)
-        records.append(
-            MonthRecord(
-                date=date,
-                ret=None if prev_value is None else monthly_return(prev_value, portfolio.value),
-                edge_density=density,
-                turnover=turnover,
-                cost=cost,
-                feasible=weights is not None,
-                weights=dict(portfolio.holdings),
-            )
-        )
-        prev_value = portfolio.value
+        for theta_config, group in zip(configs, live):
+            if not group:
+                continue
+            graph = market_graph.build_graph(corr, theta_config.theta)
+            density = market_graph.edge_density(graph) if graph.n_nodes >= 2 else 0.0
+            try:
+                selection = _solve_month(graph, theta_config, mi)
+            except _SWEEP_ROW_ERRORS as exc:
+                for book in group:
+                    book.error = exc
+                continue
+            for book in group:
+                try:
+                    book.advance(date, density, _month_weights(selection, window.tickers, vols, book.config, date), prices)
+                except _SWEEP_ROW_ERRORS as exc:
+                    book.error = exc
+    return books
 
-    rets = [m.ret for m in records if m.ret is not None]
-    summary = summarize(rets) if len(rets) >= MONTHS_PER_YEAR else None
-    return BacktestReport(months=records, summary=summary)
+
+def run_backtest(panel: PricePanel, config: BacktestConfig) -> BacktestReport:
+    """Simulate the strategy over every eligible month-end of ``panel``."""
+    (book,) = _simulate(panel, [config], [config.weighting])
+    if book.error is not None:
+        raise book.error
+    return book.report()
 
 
 def write_report_json(report: BacktestReport, path) -> None:
@@ -440,17 +502,6 @@ class SweepRow:
 SWEEP_COLUMNS = [f.name for f in dataclasses.fields(SweepRow) if f.name != "error"]
 
 
-#: errors that fail one sweep setting without stopping the sweep
-_SWEEP_ROW_ERRORS = (
-    DataError,
-    InsufficientDataError,
-    ZeroVolatilityError,
-    AccountingError,
-    mis_qubo.GraphTooLargeError,
-    mis_qubo.SolveTimeout,
-)
-
-
 def default_theta_grid(lo: float = 0.18, hi: float = 0.36, step: float = 0.01) -> list[float]:
     count = int(round((hi - lo) / step)) + 1
     return [round(lo + k * step, 10) for k in range(count)]
@@ -462,50 +513,49 @@ def sweep_theta(
     theta_list=None,
     weighting_list=None,
 ) -> list[SweepRow]:
-    """One full backtest per (theta, weighting).
+    """Every (theta, weighting) backtest of the grid, one row each, in one pass.
+
+    Each month's correlation (and volatility) is computed once for the whole
+    grid, and each theta's graph is solved once per month: both weightings
+    of a theta share its derived seed ``derive_seed(base_config.seed, theta
+    index)`` and so one selection, and their graph and selection statistics
+    coincide row-to-row.  Every row equals the one its own
+    ``run_backtest`` with that theta, weighting and seed would give.
 
     A data or solver error in one setting fills that row's ``error`` and the
     sweep goes on; any other exception propagates.
-
-    Both weightings of a given theta share a derived seed, so their graph
-    and selection statistics coincide row-to-row.
     """
     thetas = list(theta_list) if theta_list is not None else default_theta_grid()
     weightings = list(weighting_list) if weighting_list is not None else ["ew", "ivw"]
     if not thetas or not weightings:
         raise ValueError("theta_list and weighting_list must be non-empty")
+    configs = [
+        dataclasses.replace(base_config, theta=theta, seed=derive_seed(base_config.seed, ti))
+        for ti, theta in enumerate(thetas)
+    ]
+    return [_sweep_row(book) for book in _simulate(panel, configs, weightings)]
 
-    settings = []
-    for ti, theta in enumerate(thetas):
-        seed = derive_seed(base_config.seed, ti)
-        for weighting in weightings:
-            settings.append(
-                dataclasses.replace(base_config, theta=theta, weighting=weighting, seed=seed)
-            )
 
-    def run_one(cfg: BacktestConfig) -> SweepRow:
-        row = SweepRow(theta=cfg.theta, weighting=cfg.weighting)
-        try:
-            report = run_backtest(panel, cfg)
-        except _SWEEP_ROW_ERRORS as exc:
-            row.error = f"{type(exc).__name__}: {exc}"
-            return row
-        dens = np.array([m.edge_density for m in report.months])
-        sizes = np.array([m.n_constituents for m in report.months], dtype=np.float64)
-        row.density_max = float(dens.max())
-        row.density_min = float(dens.min())
-        row.density_avg = float(dens.mean())
-        row.size_max = int(sizes.max())
-        row.size_min = int(sizes.min())
-        row.size_avg = float(sizes.mean())
-        row.size_sd = float(sizes.std())
-        if report.summary is not None:
-            row.annual_return = report.summary.annual_return
-            row.annual_risk = report.summary.annual_risk
-            row.sharpe = report.summary.sharpe
+def _sweep_row(book: _Book) -> SweepRow:
+    row = SweepRow(theta=book.config.theta, weighting=book.config.weighting)
+    if book.error is not None:
+        row.error = f"{type(book.error).__name__}: {book.error}"
         return row
-
-    return [run_one(cfg) for cfg in settings]
+    report = book.report()
+    dens = np.array([m.edge_density for m in report.months])
+    sizes = np.array([m.n_constituents for m in report.months], dtype=np.float64)
+    row.density_max = float(dens.max())
+    row.density_min = float(dens.min())
+    row.density_avg = float(dens.mean())
+    row.size_max = int(sizes.max())
+    row.size_min = int(sizes.min())
+    row.size_avg = float(sizes.mean())
+    row.size_sd = float(sizes.std())
+    if report.summary is not None:
+        row.annual_return = report.summary.annual_return
+        row.annual_risk = report.summary.annual_risk
+        row.sharpe = report.summary.sharpe
+    return row
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:

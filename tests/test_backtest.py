@@ -1,13 +1,17 @@
 import csv
+import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from misfolio.backtest import (
+    _SWEEP_ROW_ERRORS,
     SWEEP_COLUMNS,
     AccountingError,
     Summary,
+    SweepRow,
     BacktestConfig,
     DataError,
     Portfolio,
@@ -468,13 +472,107 @@ def test_sweep_weightings_of_a_theta_share_graph_and_selection_statistics():
         assert [getattr(ew, c) for c in shared] == [getattr(ivw, c) for c in shared]
 
 
+def with_flat_ticker(panel, price=50.0):
+    """``panel`` plus one constant-price ticker: zero volatility, isolated in every graph."""
+    prices = np.column_stack([panel.prices, np.full(panel.n_dates, price)])
+    return PricePanel(dates=panel.dates, tickers=(*panel.tickers, "FLAT"), prices=prices)
+
+
+def slow_sweep_row(panel, config, theta_index, theta, weighting):
+    """The row of one setting from its own full backtest, as the sweep once built it."""
+    row = SweepRow(theta=theta, weighting=weighting)
+    try:
+        report = run_backtest(panel, dataclasses.replace(
+            config, theta=theta, weighting=weighting, seed=derive_seed(config.seed, theta_index)
+        ))
+    except _SWEEP_ROW_ERRORS as exc:
+        row.error = f"{type(exc).__name__}: {exc}"
+        return row
+    dens = np.array([m.edge_density for m in report.months])
+    sizes = np.array([m.n_constituents for m in report.months], dtype=np.float64)
+    row.density_max, row.density_min, row.density_avg = float(dens.max()), float(dens.min()), float(dens.mean())
+    row.size_max, row.size_min = int(sizes.max()), int(sizes.min())
+    row.size_avg, row.size_sd = float(sizes.mean()), float(sizes.std())
+    if report.summary is not None:
+        row.annual_return = report.summary.annual_return
+        row.annual_risk = report.summary.annual_risk
+        row.sharpe = report.summary.sharpe
+    return row
+
+
+@pytest.mark.parametrize("drop_zero_vol", [False, True], ids=["keep_zero_vol", "drop_zero_vol"])
+@pytest.mark.parametrize("window", [{"lookback_days": 126}, {"lookback_months": 6}], ids=["days", "months"])
+@pytest.mark.parametrize(
+    "solver", [{"solver": "greedy"}, {"solver": "exact"}, {"solver": "sb", "restarts": 2}], ids=["greedy", "exact", "sb"]
+)
+def test_sweep_rows_are_bit_identical_to_one_backtest_per_setting(solver, window, drop_zero_vol):
+    # the flat ticker makes every ivw row fail unless zero-vol names are dropped;
+    # the repeated theta keeps its own derived seed
+    panel = with_flat_ticker(synth_panel(8, 400, 2, seed=3))
+    config = BacktestConfig(theta=0.2, seed=5, drop_zero_vol=drop_zero_vol, **solver, **window)
+    thetas = [0.2, 0.3, 0.2]
+    rows = sweep_theta(panel, config, thetas, ["ew", "ivw"])
+    want = [slow_sweep_row(panel, config, ti, t, w) for ti, t in enumerate(thetas) for w in ("ew", "ivw")]
+    # repr is exact for floats and spells NaN the same on both sides
+    assert [repr(dataclasses.astuple(r)) for r in rows] == [repr(dataclasses.astuple(r)) for r in want]
+    assert any(r.error is None for r in rows)
+
+
+def test_sweep_computes_each_month_once_and_solves_each_theta_once(monkeypatch):
+    from misfolio import backtest, timeseries
+
+    panel = synth_panel(8, 400, 2, seed=3)
+    config = BacktestConfig(theta=0.2, lookback_days=126, solver="greedy")
+    n_months = len(run_backtest(panel, config).months)
+    calls = {"correlation": 0, "volatility": 0, "_solve_month": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(timeseries, "correlation")
+    counting(timeseries, "volatility")
+    counting(backtest, "_solve_month")
+    rows = sweep_theta(panel, config, [0.2, 0.25, 0.3], ["ew", "ivw"])
+    assert all(r.error is None for r in rows)
+    assert calls["correlation"] == n_months
+    assert 0 < calls["volatility"] <= n_months
+    assert calls["_solve_month"] == 3 * n_months
+
+
+def test_sweep_zero_volatility_fails_only_the_ivw_rows():
+    # greedy always picks the isolated flat ticker, so inverse-vol weights are undefined
+    panel = with_flat_ticker(synth_panel(8, 400, 2, seed=3))
+    config = BacktestConfig(theta=0.2, lookback_days=126, solver="greedy")
+    rows = sweep_theta(panel, config, [0.2, 0.3], ["ew", "ivw"])
+    ew_only = sweep_theta(panel, config, [0.2, 0.3], ["ew"])
+    assert [r.weighting for r in rows] == ["ew", "ivw", "ew", "ivw"]
+    assert all(r.error.startswith("ZeroVolatilityError: volatility of FLAT") for r in rows[1::2])
+    assert [repr(dataclasses.astuple(r)) for r in rows[::2]] == [repr(dataclasses.astuple(r)) for r in ew_only]
+
+
+def test_sweep_logs_a_zero_variance_column_once_per_month(caplog):
+    panel = with_flat_ticker(synth_panel(8, 400, 2, seed=3))
+    config = BacktestConfig(theta=0.2, lookback_days=126, solver="greedy")
+    with caplog.at_level(logging.WARNING, logger="misfolio.timeseries"):
+        rows = sweep_theta(panel, config, [0.2, 0.25, 0.3], ["ew", "ivw"])
+    flagged = [r for r in caplog.records if "zero-variance columns" in r.getMessage()]
+    assert len(flagged) == len(run_backtest(panel, dataclasses.replace(config, weighting="ew")).months) == 14
+    assert all(r.error is None for r in rows[::2])
+
+
 def test_sweep_raises_programming_errors(monkeypatch):
     from misfolio import backtest
 
-    def broken(panel, config):
+    def broken(*args, **kwargs):
         raise TypeError("bad call")
 
-    monkeypatch.setattr(backtest, "run_backtest", broken)
+    monkeypatch.setattr(backtest, "rebalance", broken)
     panel = synth_panel(6, 380, 2, seed=15)
     config = BacktestConfig(theta=0.2, lookback_days=126, solver="greedy")
     with pytest.raises(TypeError, match="bad call"):
