@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -37,8 +36,6 @@ import numpy as np
 from . import market_graph, mis_qubo, timeseries
 from .sb_solver import SbParams, solve_mis_sb
 from .timeseries import InsufficientDataError, PricePanel
-
-logger = logging.getLogger(__name__)
 
 MONTHS_PER_YEAR = 12
 
@@ -74,7 +71,6 @@ class BacktestConfig:
     restarts: int = 10
     seed: int = 0
     node_limit: int = 64
-    drop_zero_vol: bool = False
     initial_value: float = 1.0
 
     def __post_init__(self):
@@ -320,22 +316,15 @@ def _month_weights(
     selection: mis_qubo.MisSolution,
     tickers: tuple[str, ...],
     vols: np.ndarray | None,
-    config: BacktestConfig,
-    date: str,
+    weighting: str,
 ) -> dict[str, float] | None:
     """Target weights for the month's selection, or None to hold the book."""
     if selection.feasible is not True or selection.size == 0:
         return None
     names = [tickers[i] for i in selection.selected]
-    if config.weighting == "ew":
+    if weighting == "ew":
         return weights_ew(names)
-    vol_map = {tickers[i]: float(vols[i]) for i in selection.selected}
-    if config.drop_zero_vol:
-        kept = [t for t in names if vol_map[t] > 0.0]
-        if len(kept) < len(names):
-            logger.warning("%s: dropping zero-volatility names %s", date, sorted(set(names) - set(kept)))
-        names = kept
-    return weights_ivw(names, vol_map) if names else None
+    return weights_ivw(names, {tickers[i]: float(vols[i]) for i in selection.selected})
 
 
 #: errors that stop one book (one sweep row) without stopping the others
@@ -445,7 +434,7 @@ def _simulate(panel: PricePanel, configs: list[BacktestConfig], weightings: list
                 continue
             for book in group:
                 try:
-                    book.advance(date, density, _month_weights(selection, window.tickers, vols, book.config, date), prices)
+                    book.advance(date, density, _month_weights(selection, window.tickers, vols, book.config.weighting), prices)
                 except _SWEEP_ROW_ERRORS as exc:
                     book.error = exc
     return books
@@ -600,9 +589,13 @@ def load_caps_csv(path) -> dict[str, dict[str, float]]:
                 continue
             if len(row) != 3:
                 raise DataError(f"{path}: line {lineno}: expected 3 fields")
-            date, ticker, cap = row[0].strip(), row[1].strip(), float(row[2])
-            if cap <= 0:
-                raise DataError(f"{path}: line {lineno}: non-positive cap")
+            date, ticker = row[0].strip(), row[1].strip()
+            try:
+                cap = float(row[2])
+            except ValueError:
+                raise DataError(f"{path}: line {lineno}: cap {row[2].strip()!r} is not a number") from None
+            if not (math.isfinite(cap) and cap > 0):
+                raise DataError(f"{path}: line {lineno}: cap must be finite and positive, got {cap}")
             out.setdefault(date[:7], {})[ticker] = cap
     return out
 

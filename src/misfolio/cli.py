@@ -40,6 +40,17 @@ logger = logging.getLogger(__name__)
 _LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
+def _positive(kind):
+    """argparse type: a finite ``kind`` (int or float) above 0; else a usage error."""
+    def parse(text: str):
+        value = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="misfolio",
@@ -51,21 +62,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="write a synthetic price CSV")
-    p.add_argument("--stocks", type=int, required=True)
-    p.add_argument("--days", type=int, required=True)
+    p.add_argument("--stocks", type=_positive(int), required=True)
+    p.add_argument("--days", type=_positive(int), required=True)
     p.add_argument("--factors", type=int, default=3)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("build-graph", help="threshold graph from a price CSV")
     p.add_argument("--prices", required=True)
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--window-days", type=int, default=None, help="default: all available returns")
+    p.add_argument("--window-days", type=_positive(int), default=None, help="default: all available returns")
     p.add_argument("--out", required=True, help="edge-list output path")
 
     p = sub.add_parser("solve", help="solve MIS on an edge-list graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--solver", choices=["sb", "greedy", "exact"], default="sb")
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--restarts", type=_positive(int), default=10)
     p.add_argument("--node-limit", type=int, default=64, help="exact-solver size guard")
     p.add_argument("--out", required=True, help="solution JSON output path")
 
@@ -77,16 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
     _backtest_flags(p, weighting=False)
     p.add_argument("--theta-min", type=float, default=0.18)
     p.add_argument("--theta-max", type=float, default=0.36)
-    p.add_argument("--theta-step", type=float, default=0.01)
+    p.add_argument("--theta-step", type=_positive(float), default=0.01)
     p.add_argument("--weightings", default="ew,ivw", help="comma-separated subset of ew,ivw")
     p.add_argument("--out", required=True, help="sweep CSV path")
 
     p = sub.add_parser("bench", help="time/accuracy comparison of the solvers")
     p.add_argument("--sizes", required=True, help="comma-separated node counts")
-    p.add_argument("--graphs-per-size", type=int, default=10)
+    p.add_argument("--graphs-per-size", type=_positive(int), default=10)
     p.add_argument("--theta", type=float, default=0.25)
     p.add_argument("--solvers", default="sb,greedy,exact")
-    p.add_argument("--timeout-secs", type=float, default=600.0, help="exact-solver budget per graph")
+    p.add_argument("--timeout-secs", type=_positive(float), default=600.0, help="exact-solver budget per graph")
     p.add_argument("--out", required=True, help="benchmark CSV path")
     return parser
 
@@ -97,11 +108,11 @@ def _backtest_flags(p: argparse.ArgumentParser, weighting: bool = True) -> None:
         p.add_argument("--theta", type=float, required=True)
         p.add_argument("--weighting", choices=["ew", "ivw"], default="ew")
     p.add_argument("--cost-bps", type=float, default=10.0, help="cost in basis points of turnover (10 = 0.1%%)")
-    p.add_argument("--window-days", type=int, default=756)
-    p.add_argument("--window-months", type=int, default=None,
+    p.add_argument("--window-days", type=_positive(int), default=756)
+    p.add_argument("--window-months", type=_positive(int), default=None,
                    help="anchor signal windows to calendar month-ends instead of a fixed day count")
     p.add_argument("--solver", choices=["sb", "greedy", "exact"], default="sb")
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--restarts", type=_positive(int), default=10)
     p.add_argument("--node-limit", type=int, default=64)
 
 
@@ -112,8 +123,8 @@ def _require_file(parser: argparse.ArgumentParser, path: str) -> str:
 
 
 def cmd_synth(args, parser) -> int:
-    if args.stocks < 1 or args.days < 1 or args.factors < 0:
-        parser.error("--stocks and --days must be >= 1, --factors >= 0")
+    if args.factors < 0:
+        parser.error("--factors must be >= 0")
     panel = synth_panel(args.stocks, args.days, args.factors, args.seed)
     write_prices(panel, args.out)
     print(f"wrote {panel.n_dates} x {panel.n_tickers} panel to {args.out}")
@@ -198,8 +209,6 @@ def cmd_backtest(args, parser) -> int:
 
 def cmd_sweep(args, parser) -> int:
     panel = load_prices(_require_file(parser, args.prices))
-    if args.theta_step <= 0:
-        parser.error("--theta-step must be positive")
     if args.theta_max < args.theta_min:
         parser.error("--theta-max must be >= --theta-min")
     thetas = default_theta_grid(args.theta_min, args.theta_max, args.theta_step)

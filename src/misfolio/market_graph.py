@@ -50,11 +50,6 @@ class MarketGraph:
         self._check(node)
         return int(np.count_nonzero(self.adjacency_matrix[node]))
 
-    def has_edge(self, i: int, j: int) -> bool:
-        self._check(i)
-        self._check(j)
-        return bool(self.adjacency_matrix[i, j])
-
     def neighbors(self, node: int) -> tuple[int, ...]:
         self._check(node)
         return tuple(np.flatnonzero(self.adjacency_matrix[node]).tolist())

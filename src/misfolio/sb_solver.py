@@ -12,11 +12,12 @@ One time step, in order:
 
 ``alpha_k`` ramps linearly from 0 at the first step to ``alpha0`` at the
 last.  After ``n_steps`` steps the spins are ``sgn(x_i)`` with
-``sgn(0) = +1``.
+``sgn(0) = +1``.  ``dt = 0.2`` and ``alpha0 = 1.0`` are fixed and ``c0``
+follows from ``J`` (below); ``SbParams`` sets n_steps, restarts and seed.
 
 Coupling scale
 --------------
-The scale ``c0`` is not universal; the default prescription here is
+The scale ``c0`` is not universal; it is always derived from the problem:
 
     c0 = 1.5 / (rms * sqrt(n)),   rms = root-mean-square of the
                                   off-diagonal entries of J
@@ -24,7 +25,7 @@ The scale ``c0`` is not universal; the default prescription here is
 (falling back to 1.0 when J is empty), chosen empirically for the
 independent-set workloads this package targets.  The bias shares ``c0``
 with the couplings, so the digitized landscape keeps the problem's
-coupling-to-bias ratio for any ``c0``.
+coupling-to-bias ratio.
 
 Determinism and restarts
 ------------------------
@@ -50,9 +51,9 @@ Input validation
 ----------------
 The walls hold every position in [-1, 1] and ``|(J x)_i| <= sqrt(n) |J|_F``,
 so one momentum kick is at most
-``dt * (alpha0 + c0 * sqrt(n) * |J|_F) + max |bias step|``.  ``SbParams``
-and ``IsingProblem`` reject non-finite values, and ``sb_solve`` rejects a
-problem and params whose kicks over ``n_steps`` could overflow.
+``dt * (alpha0 + c0 * sqrt(n) * |J|_F) + max |bias step|``.
+``IsingProblem`` rejects non-finite values, and ``sb_solve`` rejects a
+problem whose kicks over ``n_steps`` could overflow.
 A run's state therefore stays finite, and no step checks it.
 """
 
@@ -78,6 +79,8 @@ from .mis_qubo import (
 
 _MASK64 = (1 << 64) - 1
 DEFAULT_COUPLING_KAPPA = 1.5
+DT = 0.2  # time step
+ALPHA0 = 1.0  # pump amplitude that alpha_k ramps up to
 
 
 @dataclass(frozen=True)
@@ -85,21 +88,12 @@ class SbParams:
     """Solver knobs; defaults match the reference setting for MIS runs."""
 
     n_steps: int = 1000
-    dt: float = 0.2
-    alpha0: float = 1.0
-    coupling_scale: float | None = None
     restarts: int = 10
     seed: int = 0
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        positive = {"dt": self.dt, "alpha0": self.alpha0}
-        if self.coupling_scale is not None:  # None selects the default
-            positive["coupling_scale"] = self.coupling_scale
-        for name, value in positive.items():
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -132,12 +126,12 @@ def _setup(problem: IsingProblem, params: SbParams):
 
     Raises ValueError if the momentum could overflow (module docstring).
     """
-    c0 = params.coupling_scale if params.coupling_scale is not None else default_coupling_scale(problem)
-    bias_step = (params.dt * c0) * problem.h
+    c0 = default_coupling_scale(problem)
+    bias_step = (DT * c0) * problem.h
     mm_bound = math.sqrt(problem.n_spins * float(np.vdot(problem.j, problem.j)))
-    kick = params.dt * (params.alpha0 + c0 * mm_bound) + float(np.max(np.abs(bias_step), initial=0.0))
+    kick = DT * (ALPHA0 + c0 * mm_bound) + float(np.max(np.abs(bias_step), initial=0.0))
     # |p| <= 1 + n_steps * kick, and x moves by dt * p before the walls
-    if not math.isfinite(max(1.0, params.dt) * (1.0 + params.n_steps * kick)):
+    if not math.isfinite(max(1.0, DT) * (1.0 + params.n_steps * kick)):
         raise ValueError(f"bSB state could overflow: momentum kick bound {kick:g} over {params.n_steps} steps")
     return bias_step, c0
 
@@ -145,16 +139,16 @@ def _setup(problem: IsingProblem, params: SbParams):
 def _advance(x, p, mm, scratch, k, j, bias_step, c0, params) -> None:
     """One in-place bSB step on the ``(R, n)`` state (x, p)."""
     if params.n_steps > 1:
-        alpha_k = params.alpha0 * (k / (params.n_steps - 1))
+        alpha_k = ALPHA0 * (k / (params.n_steps - 1))
     else:
         alpha_k = 0.0
     np.matmul(x, j, out=mm)
-    np.multiply(x, params.dt * (alpha_k - params.alpha0), out=scratch)
+    np.multiply(x, DT * (alpha_k - ALPHA0), out=scratch)
     p += scratch
     p += bias_step
-    np.multiply(mm, params.dt * c0, out=scratch)
+    np.multiply(mm, DT * c0, out=scratch)
     p += scratch
-    np.multiply(p, params.dt, out=scratch)
+    np.multiply(p, DT, out=scratch)
     x += scratch
     over = np.abs(x) > 1.0
     if over.any():

@@ -356,19 +356,15 @@ def test_backtest_sb_holds_no_month_while_an_independent_set_exists(lookback_day
     assert [m.date for m in report.months if not m.feasible] == []
 
 
-def test_backtest_zero_volatility_under_ivw_errors_or_drops():
+def test_backtest_zero_volatility_under_ivw_raises():
     # one constant-price stock: zero volatility, isolated in the graph,
     # so every maximum independent set contains it
     rng = np.random.default_rng(24)
     prices = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal((300, 4)), axis=0))
     prices = np.column_stack([prices, np.full(300, 42.0)])
     panel = panel_from(prices)
-    base = dict(theta=0.2, lookback_days=126, solver="exact", weighting="ivw")
     with pytest.raises(ZeroVolatilityError, match="T4"):
-        run_backtest(panel, BacktestConfig(**base))
-    report = run_backtest(panel, BacktestConfig(drop_zero_vol=True, **base))
-    assert report.months
-    assert all("T4" not in m.weights for m in report.months)
+        run_backtest(panel, BacktestConfig(theta=0.2, lookback_days=126, solver="exact", weighting="ivw"))
 
 
 def test_report_json_markers(tmp_path):
@@ -500,22 +496,24 @@ def slow_sweep_row(panel, config, theta_index, theta, weighting):
     return row
 
 
-@pytest.mark.parametrize("drop_zero_vol", [False, True], ids=["keep_zero_vol", "drop_zero_vol"])
+@pytest.mark.parametrize("zero_vol", [True, False], ids=["keep_zero_vol", "no_zero_vol"])
 @pytest.mark.parametrize("window", [{"lookback_days": 126}, {"lookback_months": 6}], ids=["days", "months"])
 @pytest.mark.parametrize(
     "solver", [{"solver": "greedy"}, {"solver": "exact"}, {"solver": "sb", "restarts": 2}], ids=["greedy", "exact", "sb"]
 )
-def test_sweep_rows_are_bit_identical_to_one_backtest_per_setting(solver, window, drop_zero_vol):
-    # the flat ticker makes every ivw row fail unless zero-vol names are dropped;
-    # the repeated theta keeps its own derived seed
-    panel = with_flat_ticker(synth_panel(8, 400, 2, seed=3))
-    config = BacktestConfig(theta=0.2, seed=5, drop_zero_vol=drop_zero_vol, **solver, **window)
+def test_sweep_rows_are_bit_identical_to_one_backtest_per_setting(solver, window, zero_vol):
+    # a panel that keeps the flat ticker fails every ivw row, one without it
+    # gives successful ivw rows; the repeated theta keeps its own derived seed
+    panel = synth_panel(8, 400, 2, seed=3)
+    if zero_vol:
+        panel = with_flat_ticker(panel)
+    config = BacktestConfig(theta=0.2, seed=5, **solver, **window)
     thetas = [0.2, 0.3, 0.2]
     rows = sweep_theta(panel, config, thetas, ["ew", "ivw"])
     want = [slow_sweep_row(panel, config, ti, t, w) for ti, t in enumerate(thetas) for w in ("ew", "ivw")]
     # repr is exact for floats and spells NaN the same on both sides
     assert [repr(dataclasses.astuple(r)) for r in rows] == [repr(dataclasses.astuple(r)) for r in want]
-    assert any(r.error is None for r in rows)
+    assert [r.error is None for r in rows] == [not zero_vol or r.weighting == "ew" for r in rows]
 
 
 def test_sweep_computes_each_month_once_and_solves_each_theta_once(monkeypatch):
@@ -684,4 +682,13 @@ def test_load_caps_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("date,ticker,cap\n2020-01-31,A,-5\n")
     with pytest.raises(DataError):
+        load_caps_csv(bad)
+
+
+@pytest.mark.parametrize("cap", ["nan", "inf", "-inf", "abc", ""])
+def test_load_caps_csv_rejects_a_cap_that_is_not_a_positive_number(tmp_path, cap):
+    # a NaN or infinite cap would turn every benchmark weight of its month into NaN
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"date,ticker,cap\n2020-01-31,A,100\n2020-01-31,B,{cap}\n")
+    with pytest.raises(DataError, match=r"bad\.csv: line 3: cap"):
         load_caps_csv(bad)

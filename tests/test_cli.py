@@ -283,3 +283,38 @@ def test_unknown_solver_is_usage_error(tmp_path):
     g = write_edge_list(tmp_path, 3, [])
     r = run_cli("solve", "--graph", g, "--solver", "annealer", "--out", tmp_path / "x.json")
     assert r.returncode == 2
+
+
+_SYNTH = ["synth", "--stocks", "3", "--days", "10"]
+_BACKTEST = ["backtest", "--prices", "{prices}", "--theta", "0.2"]
+_BENCH = ["bench", "--sizes", "4", "--solvers", "greedy"]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (_SYNTH, "--stocks", "three"),
+        (_SYNTH, "--days", "-1"),
+        (["build-graph", "--prices", "{prices}", "--theta", "0.2"], "--window-days", "0"),
+        (["solve", "--graph", "{graph}"], "--restarts", "0"),
+        (_BACKTEST, "--restarts", "0"),
+        (_BACKTEST, "--window-days", "0"),
+        (_BACKTEST, "--window-months", "0"),
+        (["sweep", "--prices", "{prices}"], "--window-days", "-5"),
+        (["sweep", "--prices", "{prices}"], "--theta-step", "0"),
+        (["sweep", "--prices", "{prices}"], "--theta-step", "nan"),
+        (_BENCH, "--graphs-per-size", "0"),
+        (_BENCH, "--timeout-secs", "0"),
+        (_BENCH, "--timeout-secs", "-1"),
+        (_BENCH, "--timeout-secs", "inf"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else v.lstrip("-"),
+)
+def test_count_and_budget_flags_out_of_range_are_usage_errors(tmp_path, capsys, command, flag, value):
+    files = {"prices": synth(tmp_path, stocks=4, days=300), "graph": write_edge_list(tmp_path, 3, [])}
+    argv = [a.format(**files) for a in command] + [flag, value, "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

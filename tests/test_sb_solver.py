@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import all_bit_configs, er_graph, sb_stepper
+from misfolio import sb_solver
 from misfolio.market_graph import build_graph, graph_from_edges
 from misfolio.mis_qubo import NO_FEASIBLE, IsingProblem, ising_energy, qubo_to_ising, solve_exact, to_qubo, verify
 from misfolio.sb_solver import (
+    ALPHA0,
+    DT,
     SbParams,
     default_coupling_scale,
     digitize,
@@ -45,24 +48,14 @@ def brute_force_min_energy(problem):
 
 def test_params_defaults():
     p = SbParams()
-    assert (p.n_steps, p.dt, p.alpha0, p.restarts, p.seed) == (1000, 0.2, 1.0, 10, 0)
-    assert [f.name for f in dataclasses.fields(p)] == ["n_steps", "dt", "alpha0", "coupling_scale", "restarts", "seed"]
-    assert p.coupling_scale is None
+    assert [f.name for f in dataclasses.fields(p)] == ["n_steps", "restarts", "seed"]
+    assert (p.n_steps, p.restarts, p.seed) == (1000, 10, 0)
+    assert (DT, ALPHA0) == (0.2, 1.0)
 
 
+# the ids are the case numbers from when the table also held dt, alpha0 and coupling_scale cases
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"n_steps": 0},
-        {"dt": 0.0},
-        {"dt": -1.0},
-        {"alpha0": 0.0},
-        {"alpha0": -1.0},
-        {"restarts": 0},
-        {"coupling_scale": -0.5},
-        {"coupling_scale": 0.0},
-        *({field: value} for field in ("dt", "alpha0", "coupling_scale") for value in (math.nan, math.inf)),
-    ],
+    "kwargs", [pytest.param({"n_steps": 0}, id="kwargs0"), pytest.param({"restarts": 0}, id="kwargs5")]
 )
 def test_params_validation(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -211,14 +204,14 @@ def reference_run(problem, params, r):
     """
     x, p = initial_state(params.seed, r, problem.n_spins)
     c0 = default_coupling_scale(problem)
-    bias_step = (params.dt * c0) * problem.h
+    bias_step = (DT * c0) * problem.h
     for k in range(params.n_steps):
-        alpha_k = params.alpha0 * (k / (params.n_steps - 1))
+        alpha_k = ALPHA0 * (k / (params.n_steps - 1))
         mm = problem.j @ x
-        p += (params.dt * (alpha_k - params.alpha0)) * x
+        p += (DT * (alpha_k - ALPHA0)) * x
         p += bias_step
-        p += (params.dt * c0) * mm
-        x += params.dt * p
+        p += (DT * c0) * mm
+        x += DT * p
         over = np.abs(x) > 1.0
         x[over] = np.sign(x[over])
         p[over] = 0.0
@@ -283,14 +276,19 @@ def test_misshapen_problem_is_rejected(j, h):
 def test_coupling_norm_overflow_is_rejected():
     # every entry is finite, but sum(J**2) is not: the problem is refused when built
     with pytest.raises(ValueError, match="overflow"):
-        sb_solve(ising([[0.0, 1e300], [1e300, 0.0]], [0.0, 0.0]), SbParams(coupling_scale=1e10))
+        ising([[0.0, 1e300], [1e300, 0.0]], [0.0, 0.0])
 
 
-def test_overflowing_kick_is_rejected_before_any_step():
-    problem = ising([[0.0, 1e150], [1e150, 0.0]], [0.0, 0.0])
-    params = SbParams(coupling_scale=1e160)  # dt * c0 * (J x) overflows at step 0
+def test_overflowing_kick_is_rejected_before_any_step(monkeypatch):
+    # a finite bias whose kick dt * c0 * h (c0 = 1 without couplings) overflows over the run
+    problem = ising(np.zeros((2, 2)), [1e306, 0.0])
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(sb_solver, "_advance", no_step)
     with pytest.raises(ValueError, match="overflow"):
-        sb_solve(problem, params)
+        sb_solve(problem, SbParams())
 
 
 # --- MIS pipeline ------------------------------------------------------------------
