@@ -51,6 +51,17 @@ def _positive(kind):
     return parse
 
 
+def _theta(text: str) -> float:
+    """argparse type: a correlation threshold, a number in [-1, 1]; else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # rejected below, together with NaN itself
+    if not -1.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in [-1, 1], got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="misfolio",
@@ -69,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-graph", help="threshold graph from a price CSV")
     p.add_argument("--prices", required=True)
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=_theta, required=True)
     p.add_argument("--window-days", type=_positive(int), default=None, help="default: all available returns")
     p.add_argument("--out", required=True, help="edge-list output path")
 
@@ -86,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="backtests across a theta grid x weightings")
     _backtest_flags(p, weighting=False)
-    p.add_argument("--theta-min", type=float, default=0.18)
-    p.add_argument("--theta-max", type=float, default=0.36)
+    p.add_argument("--theta-min", type=_theta, default=0.18)
+    p.add_argument("--theta-max", type=_theta, default=0.36)
     p.add_argument("--theta-step", type=_positive(float), default=0.01)
     p.add_argument("--weightings", default="ew,ivw", help="comma-separated subset of ew,ivw")
     p.add_argument("--out", required=True, help="sweep CSV path")
@@ -95,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time/accuracy comparison of the solvers")
     p.add_argument("--sizes", required=True, help="comma-separated node counts")
     p.add_argument("--graphs-per-size", type=_positive(int), default=10)
-    p.add_argument("--theta", type=float, default=0.25)
+    p.add_argument("--theta", type=_theta, default=0.25)
     p.add_argument("--solvers", default="sb,greedy,exact")
     p.add_argument("--timeout-secs", type=_positive(float), default=600.0, help="exact-solver budget per graph")
     p.add_argument("--out", required=True, help="benchmark CSV path")
@@ -105,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _backtest_flags(p: argparse.ArgumentParser, weighting: bool = True) -> None:
     p.add_argument("--prices", required=True)
     if weighting:
-        p.add_argument("--theta", type=float, required=True)
+        p.add_argument("--theta", type=_theta, required=True)
         p.add_argument("--weighting", choices=["ew", "ivw"], default="ew")
     p.add_argument("--cost-bps", type=float, default=10.0, help="cost in basis points of turnover (10 = 0.1%%)")
     p.add_argument("--window-days", type=_positive(int), default=756)

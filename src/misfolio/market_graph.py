@@ -8,12 +8,17 @@ on per-node Python-int bitmasks packed from it.
 
 from __future__ import annotations
 
+import io
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .timeseries import CorrelationMatrix
+
+#: a character that no edge line ``i j`` of plain decimal integers holds
+_NOT_INTEGER_TEXT = re.compile(r"[^0-9+\- \t\n]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,21 +80,38 @@ class MarketGraph:
 
 
 def build_graph(corr: CorrelationMatrix, theta: float) -> MarketGraph:
-    """Connect i and j (i != j) whenever ``corr[i, j] >= theta`` (inclusive)."""
+    """Connect i and j (i != j) whenever ``corr[i, j] >= theta`` (inclusive).
+
+    ``theta`` must lie in [-1, 1]: a NaN would leave every pair unconnected.
+    """
+    if not -1.0 <= theta <= 1.0:
+        raise ValueError(f"theta must lie in [-1, 1], got {theta!r}")
     mask = corr.values >= theta
     np.fill_diagonal(mask, False)
     return MarketGraph(tickers=tuple(corr.tickers), theta=float(theta), adjacency_matrix=mask)
 
 
 def graph_from_edges(n_nodes: int, edges, theta: float = 0.0) -> MarketGraph:
-    """Build a graph on tickers ``"0" .. "n-1"`` from (i, j) pairs; self-loops rejected."""
-    a = np.zeros((n_nodes, n_nodes), dtype=bool)
-    for i, j in edges:
+    """Build a graph on tickers ``"0" .. "n-1"`` from (i, j) pairs; self-loops rejected.
+
+    A bad edge raises ValueError naming the first one in ``edges``.
+    """
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if pairs.size == 0:
+        pairs = np.empty((0, 2), dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        raise ValueError(f"edges must be integer (i, j) pairs; got dtype {pairs.dtype}, shape {pairs.shape}")
+    i, j = pairs.T
+    bad = (i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= n_nodes)
+    if bad.any():
+        first = int(np.argmax(bad))
+        i, j = int(i[first]), int(j[first])
         if i == j:
             raise ValueError(f"self-loop at node {i}")
-        if not (0 <= i < n_nodes and 0 <= j < n_nodes):
-            raise ValueError(f"edge ({i}, {j}) out of range for n={n_nodes}")
-        a[i, j] = a[j, i] = True
+        raise ValueError(f"edge ({i}, {j}) out of range for n={n_nodes}")
+    a = np.zeros((n_nodes, n_nodes), dtype=bool)
+    a[i, j] = True
+    a[j, i] = True
     tickers = tuple(str(i) for i in range(n_nodes))
     return MarketGraph(tickers=tickers, theta=float(theta), adjacency_matrix=a)
 
@@ -124,19 +146,30 @@ def read_edge_list(path) -> MarketGraph:
                 f"{path}: line 1: expected header 'n_nodes theta' with a non-negative integer "
                 f"node count and a numeric theta, got {' '.join(header)!r}"
             )
-        edges = []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                i, j = (int(part) for part in parts)
-                if i == j or not (0 <= i < n and 0 <= j < n):
-                    raise ValueError
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 'i j', two distinct nodes in [0, {n}), "
-                    f"got {line.strip()!r}"
-                ) from None
-            edges.append((i, j))
+        body = fh.read()
+    # One pass when every line is a valid edge.  Only on ASCII digits, signs and
+    # blanks, where loadtxt reads what int() reads or fails: some numpy releases
+    # read "1.5" as 1 with only a DeprecationWarning.
+    if not _NOT_INTEGER_TEXT.search(body):
+        try:
+            # loadtxt warns on an empty body
+            pairs = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None) if body.strip() else []
+            return graph_from_edges(n, pairs, theta=theta)
+        except ValueError:
+            pass  # parsed again line by line, which names the first bad line
+    edges = []
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            i, j = (int(part) for part in parts)
+            if i == j or not (0 <= i < n and 0 <= j < n):
+                raise ValueError
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: expected 'i j', two distinct nodes in [0, {n}), "
+                f"got {line.strip()!r}"
+            ) from None
+        edges.append((i, j))
     return graph_from_edges(n, edges, theta=theta)

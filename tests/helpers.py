@@ -3,7 +3,7 @@
 import numpy as np
 
 from misfolio.market_graph import MarketGraph, graph_from_edges
-from misfolio.sb_solver import _advance, _setup
+from misfolio.sb_solver import _PinnedSplit, _advance, _setup
 
 
 def er_graph(n: int, p: float, seed: int) -> MarketGraph:
@@ -96,12 +96,20 @@ def ref_repair(graph: MarketGraph, selected) -> tuple[int, ...]:
     return tuple(sorted(keep))
 
 
-def sb_stepper(problem, params, x: np.ndarray, p: np.ndarray):
+def sb_stepper(problem, params, x: np.ndarray, p: np.ndarray, split: bool = False):
     """``step(k)`` runs bSB step ``k`` in place on the ``(R, n)`` state (x, p).
 
     It calls the solver's own step kernel with the constants ``sb_solve``
-    derives, so a one-row state steps exactly like one restart.
+    derives, so a one-row state steps exactly like one restart.  With
+    ``split``, the coupling stage is the pinned/free split whatever the size
+    of the problem, and ``step.split`` is its state.
     """
     bias_step, c0 = _setup(problem, params)
     mm, scratch = np.empty_like(x), np.empty_like(x)
-    return lambda k: _advance(x, p, mm, scratch, k, problem.j, bias_step, c0, params)
+    pinned = _PinnedSplit(problem.j, x.shape) if split else None
+
+    def step(k):
+        _advance(x, p, mm, scratch, k, problem.j, bias_step, c0, params, pinned)
+
+    step.split = pinned
+    return step

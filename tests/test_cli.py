@@ -53,10 +53,10 @@ def test_synth_zero_stocks_is_usage_error(tmp_path):
 
 # --- build-graph ----------------------------------------------------------------
 
-def test_build_graph_threshold_above_one_writes_empty_edge_list(tmp_path):
+def test_build_graph_threshold_of_one_writes_empty_edge_list(tmp_path):
     prices = synth(tmp_path)
     out = tmp_path / "g.txt"
-    r = run_cli("build-graph", "--prices", prices, "--theta", 1.1, "--out", out)
+    r = run_cli("build-graph", "--prices", prices, "--theta", 1.0, "--out", out)
     assert r.returncode == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 1  # header only
@@ -317,4 +317,25 @@ def test_count_and_budget_flags_out_of_range_are_usage_errors(tmp_path, capsys, 
         cli.main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (["build-graph", "--prices", "{prices}"], "--theta", "nan"),
+        (["build-graph", "--prices", "{prices}"], "--theta", "1.1"),
+        (_BACKTEST, "--theta", "x"),
+        (["sweep", "--prices", "{prices}"], "--theta-min", "nan"),
+        (["sweep", "--prices", "{prices}"], "--theta-max", "inf"),
+        (_BENCH, "--theta", "-2"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else v.lstrip("-"),
+)
+def test_theta_flags_outside_minus_one_to_one_are_usage_errors(tmp_path, capsys, command, flag, value):
+    argv = [a.format(prices=synth(tmp_path, stocks=4, days=300)) for a in command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [flag, value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a number in [-1, 1], got '{value}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

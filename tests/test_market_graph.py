@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from misfolio.market_graph import (
     read_edge_list,
     write_edge_list,
 )
-from misfolio.timeseries import CorrelationMatrix
+from misfolio.timeseries import CorrelationMatrix, correlation, log_returns, synth_panel
 
 
 def corr_from(values):
@@ -24,9 +26,15 @@ def three_stock_corr():
     return corr_from([[1.0, 0.3, 0.1], [0.3, 1.0, 0.25], [0.1, 0.25, 1.0]])
 
 
-def test_threshold_above_one_gives_empty_graph():
-    g = build_graph(three_stock_corr(), 1.1)
+def test_threshold_of_one_gives_empty_graph():
+    g = build_graph(three_stock_corr(), 1.0)
     assert g.n_edges == 0
+
+
+@pytest.mark.parametrize("theta", [math.nan, 1.1, -1.5, math.inf])
+def test_threshold_outside_minus_one_to_one_is_rejected(theta):
+    with pytest.raises(ValueError, match=r"theta must lie in \[-1, 1\]"):
+        build_graph(three_stock_corr(), theta)
 
 
 def test_threshold_minus_one_gives_complete_graph():
@@ -146,11 +154,51 @@ def test_edge_list_round_trip(tmp_path):
     assert back.adjacency == g.adjacency
 
 
+def test_market_graph_edge_list_reads_back_equal(tmp_path):
+    panel = synth_panel(120, 300, 3, seed=21)
+    returns = log_returns(panel)
+    g = build_graph(correlation(returns, returns.n_rows), 0.25)
+    path = tmp_path / "graph.txt"
+    write_edge_list(g, path)
+    back = read_edge_list(path)
+    assert back.theta == g.theta and back.tickers == tuple(str(i) for i in range(120))
+    assert g.n_edges > 1000
+    assert np.array_equal(back.adjacency_matrix, g.adjacency_matrix)
+
+
+def test_edge_list_layouts_read_as_the_line_parser_reads_them(tmp_path):
+    # blank lines, CRLF, tabs, and 1_0, which loadtxt refuses and int() reads as 10
+    path = tmp_path / "graph.txt"
+    expected = graph_from_edges(11, [(0, 1), (10, 2)]).adjacency
+    for text in ("11 0.5\n0 1\n10 2\n", "11 0.5\r\n0 1\r\n\r\n  10\t2  \r\n", "11 0.5\n0 1\n1_0 2\n"):
+        path.write_bytes(text.encode())
+        assert read_edge_list(path).adjacency == expected
+    path.write_text("11 0.5\n0 1\n\n   \n3 4 5\n")
+    with pytest.raises(ValueError, match="graph.txt: line 5: expected"):
+        read_edge_list(path)
+
+
 def test_graph_from_edges_rejects_bad_input():
     with pytest.raises(ValueError):
         graph_from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         graph_from_edges(3, [(0, 5)])
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1), (2, 2), (0, 7)], "self-loop at node 2"),
+        ([(0, 1), (0, 7), (2, 2)], r"edge \(0, 7\) out of range for n=3"),
+        ([(-1, 1)], r"edge \(-1, 1\) out of range for n=3"),
+        ([(0, 1, 2)], r"integer \(i, j\) pairs"),
+        ([(0.0, 1.0)], r"integer \(i, j\) pairs"),
+    ],
+    ids=["self-loop", "out-of-range", "negative", "triple", "float"],
+)
+def test_graph_from_edges_names_the_first_bad_edge(edges, message):
+    with pytest.raises(ValueError, match=message):
+        graph_from_edges(3, edges)
 
 
 @pytest.mark.parametrize(
@@ -163,10 +211,26 @@ def test_graph_from_edges_rejects_bad_input():
         ("3 0.2\n0 1\n1 b\n", 3),  # edge endpoint not an integer
         ("3 0.2\n0 5\n", 2),  # edge endpoint out of range
         ("3 0.2\n1 1\n", 2),  # self-loop
+        ("3 0.2\n0 1.5\n", 2),  # edge endpoint a float
+        ("3 0.2\n0 1\n2 1e0\n", 3),  # edge endpoint in float notation
     ],
 )
+# numpy's own warnings at their default filter, as outside the test suite
+@pytest.mark.filterwarnings("default")
 def test_read_edge_list_names_file_and_line(tmp_path, text, line):
     path = tmp_path / "graph.txt"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"graph.txt: line {line}: expected"):
         read_edge_list(path)
+
+
+def test_float_edge_text_is_an_error_where_loadtxt_would_truncate_it(tmp_path, monkeypatch):
+    # some numpy releases read "1.5" into an int64 column as 1, with only a DeprecationWarning
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda fname, dtype, **kw: loadtxt(fname, dtype=float, **kw).astype(dtype))
+    path = tmp_path / "graph.txt"
+    path.write_text("4 0.2\n0 1.5\n2 3.9\n")
+    with pytest.raises(ValueError, match="graph.txt: line 2: expected"):
+        read_edge_list(path)
+    path.write_text("4 0.2\n0 1\n2 3\n")
+    assert read_edge_list(path).adjacency == graph_from_edges(4, [(0, 1), (2, 3)]).adjacency

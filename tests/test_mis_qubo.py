@@ -237,7 +237,7 @@ def test_exact_size_monotone_in_threshold():
     c = (raw + raw.T) / 2
     np.fill_diagonal(c, 1.0)
     corr = CorrelationMatrix(tickers=tuple(map(str, range(12))), values=c)
-    sizes = [solve_exact(build_graph(corr, t)).size for t in (-0.5, 0.0, 0.3, 0.6, 1.01)]
+    sizes = [solve_exact(build_graph(corr, t)).size for t in (-0.5, 0.0, 0.3, 0.6, 1.0)]
     assert sizes == sorted(sizes)
 
 

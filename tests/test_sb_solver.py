@@ -245,6 +245,98 @@ def test_batched_restarts_match_single_run_reference(graph):
     assert np.max(np.abs(x - np.stack(refs))) <= 1e-9
 
 
+# --- the pinned/free split of the coupling stage ------------------------------------
+
+def synth_market_graph_400():
+    panel = synth_panel(400, 300, 3, seed=22)
+    returns = log_returns(panel)
+    return build_graph(correlation(returns, returns.n_rows), 0.25)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [er_graph(200, 0.2, seed=6), synth_market_graph(), synth_market_graph_400()],
+    ids=["er200", "market120", "market400"],
+)
+def test_pinned_split_matches_the_dense_product(graph):
+    problem = qubo_to_ising(to_qubo(graph))
+    params = SbParams(restarts=10, seed=3)
+    start = [np.stack(v) for v in zip(*(initial_state(3, r, problem.n_spins) for r in range(10)))]
+    x_dense, p_dense = (v.copy() for v in start)
+    x_split, p_split = (v.copy() for v in start)
+    dense = sb_stepper(problem, params, x_dense, p_dense)
+    split = sb_stepper(problem, params, x_split, p_split, split=True)
+    pinned_columns = []
+    for k in range(params.n_steps):
+        dense(k)
+        split(k)
+        # every partial sum is a multiple of 0.5, so the kept product never drifts
+        assert np.array_equal(split.split.pinned_mm, split.split.pinned_x @ problem.j)
+        pinned_columns.append(np.count_nonzero(split.split.pinned_x.any(axis=0)))
+    assert max(pinned_columns) > problem.n_spins // 2  # the split skipped most of the product
+    assert np.array_equal(digitize(x_split), digitize(x_dense))
+    refs = np.stack([reference_run(problem, params, r) for r in range(10)])
+    assert np.max(np.abs(x_split - refs)) <= 1e-9
+
+
+def test_sb_solve_splits_mis_problems_from_the_crossover(monkeypatch):
+    graph = synth_market_graph_400()
+    problem = qubo_to_ising(to_qubo(graph))
+    assert sb_solver._split_pays(problem.j)
+    assert not sb_solver._split_pays(problem.j[: sb_solver._SPLIT_MIN_SPINS - 1, : sb_solver._SPLIT_MIN_SPINS - 1])
+    params = SbParams(n_steps=200, restarts=4, seed=9)
+    x, p = map(np.stack, zip(*(initial_state(9, r, problem.n_spins) for r in range(4))))
+    step = sb_stepper(problem, params, x, p, split=True)
+    for k in range(params.n_steps):
+        step(k)
+    made = []
+
+    class RecordingSplit(sb_solver._PinnedSplit):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(sb_solver, "_PinnedSplit", RecordingSplit)
+    runs = sb_solve(problem, params)
+    assert len(made) == 1
+    assert np.array_equal(np.stack([run.spins for run in runs]), digitize(x))
+
+
+@pytest.mark.parametrize(
+    "values, exact",
+    [
+        ([0.0, -0.5], True),
+        ([0.0, 0.5, -0.5], True),
+        ([0.0, 4.0], True),
+        ([0.0, -0.5, -1.0], False),
+        ([0.0, 0.75], False),
+        ([0.0], False),
+    ],
+    ids=["mis", "both-signs", "four", "two-powers", "not-a-power", "zeros"],
+)
+def test_split_needs_one_power_of_two(values, exact):
+    n = sb_solver._SPLIT_MIN_SPINS
+    rng = np.random.default_rng(4)
+    j = np.triu(rng.choice(values, (n, n)), 1)
+    assert sb_solver._split_pays(j + j.T) is exact
+
+
+def test_float_couplings_above_the_crossover_take_the_dense_path(monkeypatch):
+    problem = random_problem(sb_solver._SPLIT_MIN_SPINS + 10, seed=7)
+    params = SbParams(n_steps=100, restarts=3, seed=1)
+    x, p = map(np.stack, zip(*(initial_state(1, r, problem.n_spins) for r in range(3))))
+    step = sb_stepper(problem, params, x, p)
+    for k in range(params.n_steps):
+        step(k)
+
+    def no_split(*args):
+        raise AssertionError("the split ran on float couplings")
+
+    monkeypatch.setattr(sb_solver, "_PinnedSplit", no_split)
+    runs = sb_solve(problem, params)
+    assert np.array_equal(np.stack([run.spins for run in runs]), digitize(x))
+
+
 # --- input validation -------------------------------------------------------------
 
 @pytest.mark.parametrize(
