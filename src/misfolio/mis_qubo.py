@@ -32,6 +32,8 @@ from .market_graph import MarketGraph
 
 PENALTY = 2.0
 REWARD = 1.0
+#: rows per block of IsingProblem's symmetry check (measured, see CHANGES.md)
+_SYMMETRY_ROWS = 64
 
 
 class GraphTooLargeError(ValueError):
@@ -48,6 +50,14 @@ class QuboProblem:
     and ``-REWARD`` on each bit."""
 
     graph: MarketGraph
+
+
+def _is_symmetric(j: np.ndarray) -> bool:
+    """``np.array_equal(j, j.T)`` in row blocks: each block of rows against
+    the matching column strip, from the diagonal on, so no n x n temporary
+    is made and ``j`` is read by column only in narrow strips."""
+    step = _SYMMETRY_ROWS
+    return all(np.array_equal(j[s : s + step, s:], j[s:, s : s + step].T) for s in range(0, len(j), step))
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +78,7 @@ class IsingProblem:
         # one scalar catches inf/NaN entries and a Frobenius norm that overflows
         if not (math.isfinite(float(np.vdot(j, j))) and np.isfinite(h).all() and math.isfinite(self.offset)):
             raise ValueError("J, h and offset must be finite, and sum(J**2) must not overflow")
-        if np.any(np.diagonal(j) != 0.0) or not np.array_equal(j, j.T):
+        if np.any(np.diagonal(j) != 0.0) or not _is_symmetric(j):
             raise ValueError("J must be symmetric with zero diagonal")
 
     @property

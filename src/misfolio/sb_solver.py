@@ -64,15 +64,27 @@ the others, and ``pinned_x`` is ``X`` with the free columns zeroed.
 changed, gathering ``_GATHER_ROWS`` rows of ``J`` at a time so the scratch
 memory stays small.
 
+The free set hardly moves from one step to the next (at n=2048, after
+the first 20 steps about one column enters and one leaves per step), so
+the ``J`` rows of the free columns stay resident: a buffer of
+``_RESIDENT_BYTES`` (256 rows at n=2048, one core's L2 cache), allocated
+once per solve, holds ``J[slots]``.  Each step a column that became
+pinned gives up its slot, the last rows in use move into the holes, and
+newly free columns take the open slots, so only the rows that changed
+are gathered.  ``X[:, free] @ J[free]`` is then one product over the
+slots, plus ``_GATHER_ROWS``-row blocks for free columns beyond the
+buffer.
+
 The split is exact when every nonzero entry of ``J`` is +/- the same
 power of two ``2**e``, as in the independent-set encoding (0 or
 ``-PENALTY/4 = -0.5``): every term of the kept sums is a small multiple
 of ``2**e`` and every partial sum lies far below ``2**(53 + e)``, so each
 is exact in float64 whatever the order.  The kept product therefore
 equals ``pinned_x @ J`` bit for bit at every step, with no drift.  Only
-the free part is rounded, in another order than the dense product's, so
-a restart's last bits can differ from the dense path's, as they can with
-the BLAS blocking (above); on the graphs tested the spins are the same.
+the free part is rounded, in slot order rather than the dense product's
+column order, so a restart's last bits can differ from the dense path's,
+as they can with the BLAS blocking (above); on the graphs tested the
+spins are the same.
 ``sb_solve`` splits a problem with at least ``_SPLIT_MIN_SPINS`` spins
 (the measured crossover) and such a ``J``; any other problem takes the
 dense product, unchanged.
@@ -115,6 +127,8 @@ ALPHA0 = 1.0  # pump amplitude that alpha_k ramps up to
 _SPLIT_MIN_SPINS = 300
 #: J rows gathered at once by the split; bounds its scratch memory to this many rows
 _GATHER_ROWS = 64
+#: bytes of the split's resident J rows: 256 rows at n=2048, one core's L2 (measured, see CHANGES.md)
+_RESIDENT_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -178,12 +192,20 @@ class _PinnedSplit:
     ``pinned_mm`` is ``pinned_x @ J``, kept by adding the change of
     ``pinned_x`` times the J rows of the columns that changed.  Exact only
     under :func:`_split_pays`'s condition on J (module docstring).
+
+    The J rows of up to ``len(rows)`` free columns stay in ``rows`` from
+    step to step: ``rows[:k]`` holds ``J[slots[:k]]``.
     """
 
     def __init__(self, j: np.ndarray, shape):
         self.j = j
         self.pinned_x = np.zeros(shape)
         self.pinned_mm = np.zeros(shape)
+        n = len(j)
+        capacity = min(n, _RESIDENT_BYTES // (j.itemsize * n))
+        self.rows = np.empty((capacity, n))
+        self.slots = np.empty(capacity, dtype=np.intp)
+        self.k = 0
 
     def __call__(self, x: np.ndarray, mm: np.ndarray) -> None:
         pinned = (np.abs(x) == 1.0).all(axis=0)
@@ -191,8 +213,29 @@ class _PinnedSplit:
         delta = pinned_x - self.pinned_x
         self._accumulate(delta, delta.any(axis=0).nonzero()[0], self.pinned_mm)
         self.pinned_x = pinned_x
-        np.copyto(mm, self.pinned_mm)
-        self._accumulate(x, (~pinned).nonzero()[0], mm)
+        overflow = self._update_slots(pinned)
+        np.matmul(x[:, self.slots[: self.k]], self.rows[: self.k], out=mm)
+        mm += self.pinned_mm
+        self._accumulate(x, overflow, mm)
+
+    def _update_slots(self, pinned: np.ndarray) -> np.ndarray:
+        """Release the slots of newly pinned columns and fill open slots with
+        newly free ones; returns the free columns left without a slot."""
+        gone = pinned[self.slots[: self.k]]
+        k = self.k - np.count_nonzero(gone)
+        # the last used rows that stay move into the holes below k
+        holes = gone[:k].nonzero()[0]
+        movers = k + (~gone[k:]).nonzero()[0]
+        self.rows[holes] = self.rows[movers]
+        self.slots[holes] = self.slots[movers]
+        unslotted = ~pinned
+        unslotted[self.slots[:k]] = False
+        arrivals = unslotted.nonzero()[0]
+        take = arrivals[: len(self.slots) - k]
+        self.k = k + len(take)
+        np.take(self.j, take, axis=0, out=self.rows[k : self.k])
+        self.slots[k : self.k] = take
+        return arrivals[len(take) :]
 
     def _accumulate(self, x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
         """``out += x[:, rows] @ J[rows]``, gathering the J rows in fixed-size blocks."""

@@ -272,11 +272,55 @@ def test_pinned_split_matches_the_dense_product(graph):
         split(k)
         # every partial sum is a multiple of 0.5, so the kept product never drifts
         assert np.array_equal(split.split.pinned_mm, split.split.pinned_x @ problem.j)
+        assert_resident_rows(split.split, problem.j)
         pinned_columns.append(np.count_nonzero(split.split.pinned_x.any(axis=0)))
     assert max(pinned_columns) > problem.n_spins // 2  # the split skipped most of the product
     assert np.array_equal(digitize(x_split), digitize(x_dense))
     refs = np.stack([reference_run(problem, params, r) for r in range(10)])
     assert np.max(np.abs(x_split - refs)) <= 1e-9
+
+
+def assert_resident_rows(split, j):
+    """The resident rows are exactly ``J[slots]``, one slot per distinct free column."""
+    slots = split.slots[: split.k]
+    assert np.array_equal(split.rows[: split.k], j[slots])
+    assert len(np.unique(slots)) == split.k
+    # a pinned column holds +/-1 in pinned_x, a free one 0
+    assert not split.pinned_x[:, slots].any()
+
+
+def test_resident_rows_overflow_release_and_reuse(monkeypatch):
+    graph = synth_market_graph_400()
+    problem = qubo_to_ising(to_qubo(graph))
+    capacity = 8
+    monkeypatch.setattr(sb_solver, "_RESIDENT_BYTES", capacity * problem.j.itemsize * problem.n_spins)
+    params = SbParams(restarts=10, seed=3)
+    start = [np.stack(v) for v in zip(*(initial_state(3, r, problem.n_spins) for r in range(10)))]
+    x_dense, p_dense = (v.copy() for v in start)
+    x_split, p_split = (v.copy() for v in start)
+    dense = sb_stepper(problem, params, x_dense, p_dense)
+    split = sb_stepper(problem, params, x_split, p_split, split=True)
+    assert len(split.split.rows) == capacity
+    overflowed = released = reused = False
+    held = set()
+    for k in range(params.n_steps):
+        dense(k)
+        split(k)
+        state = split.split
+        assert np.array_equal(state.pinned_mm, state.pinned_x @ problem.j)
+        assert_resident_rows(state, problem.j)
+        now = set(state.slots[: state.k].tolist())
+        overflowed |= np.count_nonzero(~state.pinned_x.any(axis=0)) > capacity
+        released |= bool(held - now)
+        # a column that takes a slot after a release fills a slot used before
+        reused |= released and bool(now - held)
+        held = now
+    assert overflowed and released and reused
+    assert np.array_equal(digitize(x_split), digitize(x_dense))
+    refs = np.stack([reference_run(problem, params, r) for r in range(10)])
+    assert np.max(np.abs(x_split - refs)) <= 1e-9
+    runs = sb_solve(problem, params)
+    assert np.array_equal(np.stack([run.spins for run in runs]), digitize(x_dense))
 
 
 def test_sb_solve_splits_mis_problems_from_the_crossover(monkeypatch):
@@ -363,6 +407,28 @@ def test_nonfinite_problem_is_rejected(j, h, offset):
 def test_misshapen_problem_is_rejected(j, h):
     with pytest.raises(ValueError, match="h must be a vector"):
         ising(j, h)
+
+
+def asymmetric_in_a_later_block(n=600):
+    """A symmetric J but for one entry, far from the first row block of the check."""
+    j = random_problem(n, seed=3).j.copy()
+    j[n - 2, n - 70] += 2**-20
+    return j
+
+
+@pytest.mark.parametrize(
+    "j",
+    [
+        np.array([[0.0, 1.0], [0.5, 0.0]]),
+        np.array([[1.0, 0.0], [0.0, 0.0]]),
+        asymmetric_in_a_later_block(),
+        asymmetric_in_a_later_block().T,
+    ],
+    ids=["n2", "diagonal", "n600-lower", "n600-upper"],
+)
+def test_asymmetric_problem_is_rejected(j):
+    with pytest.raises(ValueError, match="symmetric"):
+        ising(j, np.zeros(len(j)))
 
 
 def test_coupling_norm_overflow_is_rejected():

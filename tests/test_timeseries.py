@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misfolio import timeseries
 from misfolio.backtest import BacktestConfig, run_backtest
 from misfolio.timeseries import (
     EmptyUniverseError,
@@ -248,6 +249,32 @@ def test_correlation_zero_variance_column_flagged_and_zeroed():
     assert c.zero_variance == (1,)
     assert (c.values[1, :] == 0.0).all() and (c.values[:, 1] == 0.0).all()
     assert c.values[0, 0] == 1.0 and c.values[2, 2] == 1.0
+
+
+def untiled_correlation(w):
+    """The whole-matrix expression ``correlation`` computes in tiles."""
+    zero = np.ptp(w, axis=0) == 0.0
+    d = w - w.mean(axis=0)
+    norm = np.sqrt((d * d).sum(axis=0))
+    safe = np.where(norm == 0.0, 1.0, norm)
+    c = (d.T @ d) / np.outer(safe, safe)
+    c = (c + c.T) / 2.0
+    np.clip(c, -1.0, 1.0, out=c)
+    np.fill_diagonal(c, 1.0)
+    flagged = np.flatnonzero(zero | (norm == 0.0))
+    c[flagged, :] = 0.0
+    c[:, flagged] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("n", [timeseries._TILE - 1, timeseries._TILE + 1, 2 * timeseries._TILE + 37])
+def test_tiled_correlation_is_bit_identical_to_the_whole_matrix(n):
+    vals = log_returns(synth_panel(n, 200, 3, seed=n)).values.copy()
+    vals[:, n // 2] = 0.003  # constant
+    for window in (60, len(vals)):
+        c = correlation(returns_from(vals), window)
+        assert c.zero_variance == (n // 2,)
+        assert c.values.tobytes() == untiled_correlation(vals[-window:]).tobytes()
 
 
 def test_correlation_insufficient_rows():
