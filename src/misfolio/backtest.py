@@ -81,12 +81,11 @@ class BacktestConfig:
             raise ValueError(f"unknown weighting {self.weighting!r}")
         if self.solver not in ("sb", "greedy", "exact"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.lookback_days < 1:
-            raise ValueError("lookback_days must be >= 1")
+        for name in ("lookback_days", "restarts", "node_limit"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.lookback_months is not None and self.lookback_months < 1:
             raise ValueError("lookback_months must be >= 1 when set")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
         if not (math.isfinite(self.initial_value) and self.initial_value > 0):
             raise ValueError(f"initial_value must be finite and positive, got {self.initial_value}")
 
@@ -338,16 +337,15 @@ _SWEEP_ROW_ERRORS = (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class _Book:
     """One (theta, weighting) simulation, advanced a month at a time."""
 
     config: BacktestConfig
     portfolio: Portfolio
-    months: list[MonthRecord] = field(default_factory=list)
     error: Exception | None = None
 
-    def advance(self, date: str, density: float, weights: dict[str, float] | None, prices: dict[str, float]) -> None:
+    def advance(self, mi: int, date: str, density: float, weights: dict[str, float] | None, prices: dict) -> MonthRecord:
         prev_value = self.portfolio.value
         if weights is None:
             # hold: the book rolls forward untouched at month-end prices,
@@ -359,40 +357,30 @@ class _Book:
             # the month-end value is net of this month's trading costs, so
             # the return series carries the cost drag
             self.portfolio, turnover, cost = rebalance(self.portfolio, weights, prices, self.config.cost_rate, month=date)
-        self.months.append(
-            MonthRecord(
-                date=date,
-                ret=monthly_return(prev_value, self.portfolio.value) if self.months else None,
-                edge_density=density,
-                turnover=turnover,
-                cost=cost,
-                feasible=weights is not None,
-                weights=dict(self.portfolio.holdings),
-            )
+        return MonthRecord(
+            date=date,
+            ret=monthly_return(prev_value, self.portfolio.value) if mi else None,
+            edge_density=density,
+            turnover=turnover,
+            cost=cost,
+            feasible=weights is not None,
+            weights=dict(self.portfolio.holdings),
         )
 
-    def report(self) -> BacktestReport:
-        rets = [m.ret for m in self.months if m.ret is not None]
-        summary = summarize(rets) if len(rets) >= MONTHS_PER_YEAR else None
-        return BacktestReport(months=self.months, summary=summary)
 
+def _simulate(panel: PricePanel, books: list[_Book], group: int):
+    """Run ``books`` in one pass over the months; yield ``(book, MonthRecord)`` per live book-month.
 
-def _simulate(panel: PricePanel, configs: list[BacktestConfig], weightings: list[str]) -> list[_Book]:
-    """One book per (config, weighting), in that order, run in one pass over the months.
-
-    The configs differ only in ``theta`` and ``seed``.  Each month's window,
-    correlation and volatility are computed once for every book; each
-    config's graph is built and solved once, and its books share that
-    selection.  A data or solver error stops only the books it reaches and
-    is stored in their ``error``; any other exception propagates.
+    Each run of ``group`` consecutive books shares one config but the
+    weighting, and the configs differ only in ``theta`` and ``seed``.  Each
+    month's window, correlation and volatility are computed once for every
+    book; each config's graph is built and solved once, and its books share
+    that selection.  The pass keeps no record.  A data or solver error stops
+    only the books it reaches and is stored in their ``error``; any other
+    exception propagates.
     """
-    books = [
-        _Book(dataclasses.replace(c, weighting=w), Portfolio({}, {}, c.initial_value))
-        for c in configs
-        for w in weightings
-    ]
-    groups = [books[k : k + len(weightings)] for k in range(0, len(books), len(weightings))]
-    config = configs[0]
+    groups = [books[k : k + group] for k in range(0, len(books), group)]
+    config = books[0].config
     try:
         returns = timeseries.log_returns(panel)
         all_ends = month_end_indices(panel.dates)
@@ -407,45 +395,49 @@ def _simulate(panel: PricePanel, configs: list[BacktestConfig], weightings: list
     except InsufficientDataError as exc:
         for book in books:
             book.error = exc
-        return books
+        return
+    ivw = any(b.config.weighting == "ivw" for b in books)
 
     for mi, (di, window_days) in enumerate(windows):
         # months outside, thetas inside: one correlation matrix is alive at a time
-        live = [[b for b in group if b.error is None] for group in groups]
-        if not any(live):
+        live = [kept for g in groups if (kept := [b for b in g if b.error is None])]
+        if not live:
             break
         date = panel.dates[di]
         window = timeseries.ReturnMatrix(
             dates=returns.dates[:di], tickers=returns.tickers, values=returns.values[:di]
         )
         corr = timeseries.correlation(window, window_days)
-        vols = timeseries.volatility(window, window_days) if "ivw" in weightings else None
+        vols = timeseries.volatility(window, window_days) if ivw else None
         prices = dict(zip(panel.tickers, panel.prices[di].tolist()))
-        for theta_config, group in zip(configs, live):
-            if not group:
-                continue
-            graph = market_graph.build_graph(corr, theta_config.theta)
+        for g in live:
+            graph = market_graph.build_graph(corr, g[0].config.theta)
             density = market_graph.edge_density(graph) if graph.n_nodes >= 2 else 0.0
             try:
-                selection = _solve_month(graph, theta_config, mi)
+                selection = _solve_month(graph, g[0].config, mi)
             except _SWEEP_ROW_ERRORS as exc:
-                for book in group:
+                for book in g:
                     book.error = exc
                 continue
-            for book in group:
+            for book in g:
                 try:
-                    book.advance(date, density, _month_weights(selection, window.tickers, vols, book.config.weighting), prices)
+                    weights = _month_weights(selection, window.tickers, vols, book.config.weighting)
+                    record = book.advance(mi, date, density, weights, prices)
                 except _SWEEP_ROW_ERRORS as exc:
                     book.error = exc
-    return books
+                    continue
+                # outside the try, so no error of the caller's is stored as this book's
+                yield book, record
 
 
 def run_backtest(panel: PricePanel, config: BacktestConfig) -> BacktestReport:
     """Simulate the strategy over every eligible month-end of ``panel``."""
-    (book,) = _simulate(panel, [config], [config.weighting])
+    book = _Book(config, Portfolio({}, {}, config.initial_value))
+    months = [record for _, record in _simulate(panel, [book], 1)]
     if book.error is not None:
         raise book.error
-    return book.report()
+    rets = [m.ret for m in months if m.ret is not None]
+    return BacktestReport(months=months, summary=summarize(rets) if len(rets) >= MONTHS_PER_YEAR else None)
 
 
 def write_report_json(report: BacktestReport, path) -> None:
@@ -509,7 +501,8 @@ def sweep_theta(
     of a theta share its derived seed ``derive_seed(base_config.seed, theta
     index)`` and so one selection, and their graph and selection statistics
     coincide row-to-row.  Every row equals the one its own
-    ``run_backtest`` with that theta, weighting and seed would give.
+    ``run_backtest`` with that theta, weighting and seed would give.  A book
+    keeps only each month's density, selection size and return, no weights.
 
     A data or solver error in one setting fills that row's ``error`` and the
     sweep goes on; any other exception propagates.
@@ -518,21 +511,26 @@ def sweep_theta(
     weightings = list(weighting_list) if weighting_list is not None else ["ew", "ivw"]
     if not thetas or not weightings:
         raise ValueError("theta_list and weighting_list must be non-empty")
-    configs = [
-        dataclasses.replace(base_config, theta=theta, seed=derive_seed(base_config.seed, ti))
+    books = [
+        _Book(dataclasses.replace(base_config, theta=theta, seed=derive_seed(base_config.seed, ti), weighting=w),
+              Portfolio({}, {}, base_config.initial_value))
         for ti, theta in enumerate(thetas)
+        for w in weightings
     ]
-    return [_sweep_row(book) for book in _simulate(panel, configs, weightings)]
+    months = {book: [] for book in books}
+    for book, record in _simulate(panel, books, len(weightings)):
+        months[book].append((record.edge_density, record.n_constituents, record.ret))
+    return [_sweep_row(book, months[book]) for book in books]
 
 
-def _sweep_row(book: _Book) -> SweepRow:
+def _sweep_row(book: _Book, months: list[tuple[float, int, float | None]]) -> SweepRow:
     row = SweepRow(theta=book.config.theta, weighting=book.config.weighting)
     if book.error is not None:
         row.error = f"{type(book.error).__name__}: {book.error}"
         return row
-    report = book.report()
-    dens = np.array([m.edge_density for m in report.months])
-    sizes = np.array([m.n_constituents for m in report.months], dtype=np.float64)
+    dens = np.array([d for d, _, _ in months])
+    sizes = np.array([n for _, n, _ in months], dtype=np.float64)
+    rets = [r for _, _, r in months if r is not None]
     row.density_max = float(dens.max())
     row.density_min = float(dens.min())
     row.density_avg = float(dens.mean())
@@ -540,10 +538,8 @@ def _sweep_row(book: _Book) -> SweepRow:
     row.size_min = int(sizes.min())
     row.size_avg = float(sizes.mean())
     row.size_sd = float(sizes.std())
-    if report.summary is not None:
-        row.annual_return = report.summary.annual_return
-        row.annual_risk = report.summary.annual_risk
-        row.sharpe = report.summary.sharpe
+    if len(rets) >= MONTHS_PER_YEAR:
+        row.annual_return, row.annual_risk, row.sharpe = dataclasses.astuple(summarize(rets))
     return row
 
 
@@ -654,14 +650,12 @@ def difr_analysis(
             raise ValueError(f"month {mk} outside the strategy weight series")
         if mk not in bench_by_month:
             raise ValueError(f"month {mk} outside the benchmark series")
-        wm = mis_by_month[mk]
         wb = cap_weights(bench_by_month[mk])
-        for i, t in enumerate(panel.tickers):
-            a = wm.get(t, 0.0)
-            b = wb.get(t, 0.0)
-            difr[i] += rets[k, i] * (a - b)
-            w_mis_sum[i] += a
-            w_bench_sum[i] += b
+        a = np.array([mis_by_month[mk].get(t, 0.0) for t in panel.tickers])
+        b = np.array([wb.get(t, 0.0) for t in panel.tickers])
+        difr += rets[k] * (a - b)
+        w_mis_sum += a
+        w_bench_sum += b
         if theta is not None:
             di = panel.dates.index(date)
             window = timeseries.ReturnMatrix(

@@ -51,15 +51,21 @@ def _positive(kind):
     return parse
 
 
-def _theta(text: str) -> float:
-    """argparse type: a correlation threshold, a number in [-1, 1]; else a usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan  # rejected below, together with NaN itself
-    if not -1.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be a number in [-1, 1], got {text!r}")
-    return value
+def _number_in(within, interval: str):
+    """argparse type: a number for which ``within`` holds; else a usage error naming ``interval``."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan  # rejected below, together with NaN itself
+        if not within(value):
+            raise argparse.ArgumentTypeError(f"must be a number in {interval}, got {text!r}")
+        return value
+    return parse
+
+
+_theta = _number_in(lambda v: -1.0 <= v <= 1.0, "[-1, 1]")
+_cost_bps = _number_in(lambda v: 0.0 <= v < 10_000.0, "[0, 10000)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--solver", choices=["sb", "greedy", "exact"], default="sb")
     p.add_argument("--restarts", type=_positive(int), default=10)
-    p.add_argument("--node-limit", type=int, default=64, help="exact-solver size guard")
+    p.add_argument("--node-limit", type=_positive(int), default=64, help="exact-solver size guard")
     p.add_argument("--out", required=True, help="solution JSON output path")
 
     p = sub.add_parser("backtest", help="monthly-rebalance strategy simulation")
@@ -118,13 +124,13 @@ def _backtest_flags(p: argparse.ArgumentParser, weighting: bool = True) -> None:
     if weighting:
         p.add_argument("--theta", type=_theta, required=True)
         p.add_argument("--weighting", choices=["ew", "ivw"], default="ew")
-    p.add_argument("--cost-bps", type=float, default=10.0, help="cost in basis points of turnover (10 = 0.1%%)")
+    p.add_argument("--cost-bps", type=_cost_bps, default=10.0, help="cost in basis points of turnover (10 = 0.1%%)")
     p.add_argument("--window-days", type=_positive(int), default=756)
     p.add_argument("--window-months", type=_positive(int), default=None,
                    help="anchor signal windows to calendar month-ends instead of a fixed day count")
     p.add_argument("--solver", choices=["sb", "greedy", "exact"], default="sb")
     p.add_argument("--restarts", type=_positive(int), default=10)
-    p.add_argument("--node-limit", type=int, default=64)
+    p.add_argument("--node-limit", type=_positive(int), default=64)
 
 
 def _require_file(parser: argparse.ArgumentParser, path: str) -> str:

@@ -34,6 +34,7 @@ PENALTY = 2.0
 REWARD = 1.0
 #: rows per block of IsingProblem's symmetry check (measured, see CHANGES.md)
 _SYMMETRY_ROWS = 64
+_NEVER_PICKED = np.iinfo(np.intp).max  # a picked or removed node's degree; later drops take at most n off it
 
 
 class GraphTooLargeError(ValueError):
@@ -179,8 +180,7 @@ def _min_degree_order(adjacency: np.ndarray):
         removed[best] = True
         alive &= ~removed
         deg -= np.count_nonzero(adjacency[removed], axis=0)
-        # never picked again: later drops take at most n off the maximum
-        deg[removed] = np.iinfo(np.intp).max
+        deg[removed] = _NEVER_PICKED
 
 
 def solve_greedy(graph: MarketGraph) -> MisSolution:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -173,6 +174,11 @@ def test_config_rejects_bad_initial_value(initial_value):
 def test_config_rejects_zero_restarts():
     with pytest.raises(ValueError, match="restarts"):
         BacktestConfig(theta=0.25, restarts=0)
+
+
+def test_config_rejects_zero_node_limit():
+    with pytest.raises(ValueError, match="node_limit"):
+        BacktestConfig(theta=0.25, node_limit=0)
 
 
 def test_config_rejects_zero_lookback_days():
@@ -541,6 +547,33 @@ def test_sweep_computes_each_month_once_and_solves_each_theta_once(monkeypatch):
     assert calls["correlation"] == n_months
     assert 0 < calls["volatility"] <= n_months
     assert calls["_solve_month"] == 3 * n_months
+
+
+def test_sweep_holds_no_more_month_records_than_books(monkeypatch):
+    # a sweep row needs each month's density, size and return only, so the
+    # pass must not pile up its books' records (weights dicts included)
+    from misfolio import backtest
+
+    refs, seen = [], []
+    make_record, advance = backtest.MonthRecord, backtest._Book.advance
+
+    def tracked_record(**fields):
+        record = make_record(**fields)
+        refs.append(weakref.ref(record))
+        return record
+
+    def counting_advance(book, *args):
+        seen.append(sum(ref() is not None for ref in refs))
+        return advance(book, *args)
+
+    monkeypatch.setattr(backtest, "MonthRecord", tracked_record)
+    monkeypatch.setattr(backtest._Book, "advance", counting_advance)
+    panel = synth_panel(8, 400, 2, seed=3)
+    config = BacktestConfig(theta=0.2, lookback_days=126, solver="greedy")
+    rows = sweep_theta(panel, config, [0.2, 0.25, 0.3], ["ew", "ivw"])
+    assert all(r.error is None for r in rows)
+    assert len(seen) >= 3 * len(rows)  # at least three months of every book
+    assert max(seen) <= len(rows)
 
 
 def test_sweep_zero_volatility_fails_only_the_ivw_rows():

@@ -181,8 +181,8 @@ def test_backtest_cost_of_whole_turnover_is_rejected(tmp_path):
         "backtest", "--prices", prices, "--theta", 0.25, "--cost-bps", 10000,
         "--window-days", 63, "--solver", "greedy", "--out", out,
     )
-    assert r.returncode == 1
-    assert "cost_rate" in r.stderr
+    assert r.returncode == 2
+    assert "argument --cost-bps: must be a number in [0, 10000), got '10000'" in r.stderr
     assert not out.exists()
 
 
@@ -297,12 +297,18 @@ _BENCH = ["bench", "--sizes", "4", "--solvers", "greedy"]
         (_SYNTH, "--days", "-1"),
         (["build-graph", "--prices", "{prices}", "--theta", "0.2"], "--window-days", "0"),
         (["solve", "--graph", "{graph}"], "--restarts", "0"),
+        (["solve", "--graph", "{graph}"], "--node-limit", "0"),
         (_BACKTEST, "--restarts", "0"),
+        (_BACKTEST, "--node-limit", "-1"),
+        (_BACKTEST, "--cost-bps", "nan"),
+        (_BACKTEST, "--cost-bps", "-0.5"),
         (_BACKTEST, "--window-days", "0"),
         (_BACKTEST, "--window-months", "0"),
         (["sweep", "--prices", "{prices}"], "--window-days", "-5"),
         (["sweep", "--prices", "{prices}"], "--theta-step", "0"),
         (["sweep", "--prices", "{prices}"], "--theta-step", "nan"),
+        (["sweep", "--prices", "{prices}", "--solver", "exact"], "--node-limit", "0"),
+        (["sweep", "--prices", "{prices}"], "--cost-bps", "1e4"),
         (_BENCH, "--graphs-per-size", "0"),
         (_BENCH, "--timeout-secs", "0"),
         (_BENCH, "--timeout-secs", "-1"),
