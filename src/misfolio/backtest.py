@@ -52,6 +52,11 @@ class AccountingError(ValueError):
     """Portfolio valuation hit a non-positive base value."""
 
 
+#: the solver names :func:`solve_mis` knows, and the weighting names of a book
+SOLVERS = ("sb", "greedy", "exact")
+WEIGHTINGS = ("ew", "ivw")
+
+
 @dataclass(frozen=True)
 class BacktestConfig:
     """Strategy settings.
@@ -63,11 +68,11 @@ class BacktestConfig:
     """
 
     theta: float
-    weighting: str = "ew"  # "ew" or "ivw"
+    weighting: str = "ew"  # one of WEIGHTINGS
     cost_rate: float = 0.001
     lookback_days: int = timeseries.DEFAULT_LOOKBACK_DAYS
     lookback_months: int | None = None
-    solver: str = "sb"  # "sb", "greedy" or "exact"
+    solver: str = "sb"  # one of SOLVERS
     restarts: int = 10
     seed: int = 0
     node_limit: int = 64
@@ -77,10 +82,9 @@ class BacktestConfig:
         if not -1.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [-1, 1]")
         _check_cost_rate(self.cost_rate)
-        if self.weighting not in ("ew", "ivw"):
-            raise ValueError(f"unknown weighting {self.weighting!r}")
-        if self.solver not in ("sb", "greedy", "exact"):
-            raise ValueError(f"unknown solver {self.solver!r}")
+        for name, choices in (("weighting", WEIGHTINGS), ("solver", SOLVERS)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         for name in ("lookback_days", "restarts", "node_limit"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -302,13 +306,16 @@ def summarize(monthly_returns) -> Summary:
     return Summary(annual_return=annual_return, annual_risk=annual_risk, sharpe=sharpe)
 
 
-def _solve_month(graph: market_graph.MarketGraph, config: BacktestConfig, month_index: int) -> mis_qubo.MisSolution:
-    if config.solver == "greedy":
+def solve_mis(graph: market_graph.MarketGraph, solver: str, params: SbParams, node_limit: int,
+              time_budget: float | None = None) -> mis_qubo.MisSolution:
+    """An independent set of ``graph`` by ``solver``, one of :data:`SOLVERS`; only "sb" reads ``params``."""
+    if solver == "greedy":
         return mis_qubo.solve_greedy(graph)
-    if config.solver == "exact":
-        return mis_qubo.solve_exact(graph, node_limit=config.node_limit)
-    params = SbParams(restarts=config.restarts, seed=derive_seed(config.seed, month_index))
-    return solve_mis_sb(graph, params)
+    if solver == "exact":
+        return mis_qubo.solve_exact(graph, node_limit=node_limit, time_budget=time_budget)
+    if solver == "sb":
+        return solve_mis_sb(graph, params)
+    raise ValueError(f"unknown solver {solver!r}")
 
 
 def _month_weights(
@@ -411,10 +418,12 @@ def _simulate(panel: PricePanel, books: list[_Book], group: int):
         vols = timeseries.volatility(window, window_days) if ivw else None
         prices = dict(zip(panel.tickers, panel.prices[di].tolist()))
         for g in live:
-            graph = market_graph.build_graph(corr, g[0].config.theta)
+            cfg = g[0].config
+            graph = market_graph.build_graph(corr, cfg.theta)
             density = market_graph.edge_density(graph) if graph.n_nodes >= 2 else 0.0
             try:
-                selection = _solve_month(graph, g[0].config, mi)
+                params = SbParams(restarts=cfg.restarts, seed=derive_seed(cfg.seed, mi))
+                selection = solve_mis(graph, cfg.solver, params, cfg.node_limit)
             except _SWEEP_ROW_ERRORS as exc:
                 for book in g:
                     book.error = exc
@@ -508,7 +517,7 @@ def sweep_theta(
     sweep goes on; any other exception propagates.
     """
     thetas = list(theta_list) if theta_list is not None else default_theta_grid()
-    weightings = list(weighting_list) if weighting_list is not None else ["ew", "ivw"]
+    weightings = list(weighting_list) if weighting_list is not None else list(WEIGHTINGS)
     if not thetas or not weightings:
         raise ValueError("theta_list and weighting_list must be non-empty")
     books = [

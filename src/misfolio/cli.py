@@ -21,19 +21,22 @@ import numpy as np
 
 from . import __version__
 from .backtest import (
+    SOLVERS,
+    WEIGHTINGS,
     BacktestConfig,
     default_theta_grid,
     derive_seed,
     run_backtest,
+    solve_mis,
     sweep_theta,
     write_cumulative_csv,
     write_report_json,
     write_sweep_csv,
 )
 from .market_graph import build_graph, edge_density, read_edge_list, write_edge_list
-from .mis_qubo import SolveTimeout, solve_exact, solve_greedy
-from .sb_solver import SbParams, solve_mis_sb, solve_mis_sb_runs
-from .timeseries import correlation, load_prices, log_returns, synth_panel, write_prices
+from .mis_qubo import SolveTimeout
+from .sb_solver import SbParams, solve_mis_sb_runs
+from .timeseries import DEFAULT_LOOKBACK_DAYS, correlation, load_prices, log_returns, synth_panel, write_prices
 
 logger = logging.getLogger(__name__)
 
@@ -61,6 +64,17 @@ def _number_in(within, interval: str):
         if not within(value):
             raise argparse.ArgumentTypeError(f"must be a number in {interval}, got {text!r}")
         return value
+    return parse
+
+
+def _subset_of(choices):
+    """argparse type: comma-separated names, each one of ``choices`` at most once; else a usage error."""
+    def parse(text: str) -> list[str]:
+        names = [s.strip() for s in text.split(",") if s.strip()]
+        # a repeated solver would count its runs twice against one set of graphs
+        if not names or len(set(names)) < len(names) or any(s not in choices for s in names):
+            raise argparse.ArgumentTypeError(f"must be a comma-separated subset of {','.join(choices)}, got {text!r}")
+        return names
     return parse
 
 
@@ -92,9 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve MIS on an edge-list graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--solver", choices=["sb", "greedy", "exact"], default="sb")
-    p.add_argument("--restarts", type=_positive(int), default=10)
-    p.add_argument("--node-limit", type=_positive(int), default=64, help="exact-solver size guard")
+    p.add_argument("--solver", choices=SOLVERS, default=BacktestConfig.solver)
+    p.add_argument("--restarts", type=_positive(int), default=BacktestConfig.restarts)
+    p.add_argument("--node-limit", type=_positive(int), default=BacktestConfig.node_limit,
+                   help="exact-solver size guard")
     p.add_argument("--out", required=True, help="solution JSON output path")
 
     p = sub.add_parser("backtest", help="monthly-rebalance strategy simulation")
@@ -106,14 +121,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-min", type=_theta, default=0.18)
     p.add_argument("--theta-max", type=_theta, default=0.36)
     p.add_argument("--theta-step", type=_positive(float), default=0.01)
-    p.add_argument("--weightings", default="ew,ivw", help="comma-separated subset of ew,ivw")
+    p.add_argument("--weightings", type=_subset_of(WEIGHTINGS), default=",".join(WEIGHTINGS),
+                   help=f"comma-separated subset of {','.join(WEIGHTINGS)}")
     p.add_argument("--out", required=True, help="sweep CSV path")
 
     p = sub.add_parser("bench", help="time/accuracy comparison of the solvers")
     p.add_argument("--sizes", required=True, help="comma-separated node counts")
     p.add_argument("--graphs-per-size", type=_positive(int), default=10)
     p.add_argument("--theta", type=_theta, default=0.25)
-    p.add_argument("--solvers", default="sb,greedy,exact")
+    p.add_argument("--solvers", type=_subset_of(SOLVERS), default=",".join(SOLVERS))
     p.add_argument("--timeout-secs", type=_positive(float), default=600.0, help="exact-solver budget per graph")
     p.add_argument("--out", required=True, help="benchmark CSV path")
     return parser
@@ -123,14 +139,15 @@ def _backtest_flags(p: argparse.ArgumentParser, weighting: bool = True) -> None:
     p.add_argument("--prices", required=True)
     if weighting:
         p.add_argument("--theta", type=_theta, required=True)
-        p.add_argument("--weighting", choices=["ew", "ivw"], default="ew")
-    p.add_argument("--cost-bps", type=_cost_bps, default=10.0, help="cost in basis points of turnover (10 = 0.1%%)")
-    p.add_argument("--window-days", type=_positive(int), default=756)
+        p.add_argument("--weighting", choices=WEIGHTINGS, default=BacktestConfig.weighting)
+    p.add_argument("--cost-bps", type=_cost_bps, default=BacktestConfig.cost_rate * 10_000,
+                   help="cost in basis points of turnover (10 = 0.1%%)")
+    p.add_argument("--window-days", type=_positive(int), default=DEFAULT_LOOKBACK_DAYS)
     p.add_argument("--window-months", type=_positive(int), default=None,
                    help="anchor signal windows to calendar month-ends instead of a fixed day count")
-    p.add_argument("--solver", choices=["sb", "greedy", "exact"], default="sb")
-    p.add_argument("--restarts", type=_positive(int), default=10)
-    p.add_argument("--node-limit", type=_positive(int), default=64)
+    p.add_argument("--solver", choices=SOLVERS, default=BacktestConfig.solver)
+    p.add_argument("--restarts", type=_positive(int), default=BacktestConfig.restarts)
+    p.add_argument("--node-limit", type=_positive(int), default=BacktestConfig.node_limit)
 
 
 def _require_file(parser: argparse.ArgumentParser, path: str) -> str:
@@ -165,12 +182,10 @@ def cmd_build_graph(args, parser) -> int:
 
 def cmd_solve(args, parser) -> int:
     graph = read_edge_list(_require_file(parser, args.graph))
-    if args.solver == "greedy":
-        solution = solve_greedy(graph)
-    elif args.solver == "exact":
-        solution = solve_exact(graph, node_limit=args.node_limit)
-    else:
-        params = SbParams(restarts=args.restarts, seed=args.seed)
+    params = SbParams(restarts=args.restarts, seed=args.seed)
+    if args.solver != "sb":
+        solution = solve_mis(graph, args.solver, params, args.node_limit)
+    else:  # every restart is printed, so sb keeps its own call
         solution, runs = solve_mis_sb_runs(graph, params, repair=True)
         # each run is reported as decoded, before repair: its +1 spins, which
         # were independent exactly when repair left the source as "sb"
@@ -229,11 +244,8 @@ def cmd_sweep(args, parser) -> int:
     if args.theta_max < args.theta_min:
         parser.error("--theta-max must be >= --theta-min")
     thetas = default_theta_grid(args.theta_min, args.theta_max, args.theta_step)
-    weightings = [w.strip() for w in args.weightings.split(",") if w.strip()]
-    if not weightings or any(w not in ("ew", "ivw") for w in weightings):
-        parser.error("--weightings must be a comma-separated subset of ew,ivw")
-    base = _config_from_args(args, theta=thetas[0], weighting=weightings[0])
-    rows = sweep_theta(panel, base, thetas, weightings)
+    base = _config_from_args(args, theta=thetas[0], weighting=args.weightings[0])
+    rows = sweep_theta(panel, base, thetas, args.weightings)
     write_sweep_csv(rows, args.out)
     failed = sum(1 for r in rows if r.error)
     print(f"wrote {len(rows)} sweep rows to {args.out}" + (f" ({failed} failed)" if failed else ""))
@@ -247,51 +259,34 @@ def cmd_bench(args, parser) -> int:
         parser.error("--sizes must be comma-separated integers")
     if not sizes or any(s < 2 for s in sizes):
         parser.error("--sizes must contain integers >= 2")
-    solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
-    if not solvers or any(s not in ("sb", "greedy", "exact") for s in solvers):
-        parser.error("--solvers must be a comma-separated subset of sb,greedy,exact")
 
     rows = []
     for n in sizes:
-        graphs = []
+        results: dict[str, list[tuple[float, int | None]]] = {s: [] for s in args.solvers}
         for g in range(args.graphs_per_size):
-            panel = synth_panel(n, 300, 3, derive_seed(args.seed, n * 10_000 + g))
-            returns = log_returns(panel)
-            corr = correlation(returns, returns.n_rows)
-            graphs.append(build_graph(corr, args.theta))
-        results: dict[str, list[tuple[float, int | None]]] = {s: [] for s in solvers}
-        for gi, graph in enumerate(graphs):
-            for solver in solvers:
+            seed = derive_seed(args.seed, n * 10_000 + g)  # the graph's panel and its bSB restarts
+            returns = log_returns(synth_panel(n, 300, 3, seed))
+            graph = build_graph(correlation(returns, returns.n_rows), args.theta)
+            params = SbParams(seed=seed)
+            for solver in args.solvers:
                 t0 = time.perf_counter()
                 try:
-                    if solver == "greedy":
-                        sol = solve_greedy(graph)
-                    elif solver == "exact":
-                        sol = solve_exact(graph, node_limit=n, time_budget=args.timeout_secs)
-                    else:
-                        sol = solve_mis_sb(graph, SbParams(seed=derive_seed(args.seed, n * 10_000 + gi)))
-                    size = sol.size
+                    size = solve_mis(graph, solver, params, node_limit=n, time_budget=args.timeout_secs).size
                 except SolveTimeout:
                     size = None
                 results[solver].append((time.perf_counter() - t0, size))
-        for solver in solvers:
+        # accuracy convention: per-graph ratio to the best size any solver found
+        best = [max(results[s][gi][1] or 0 for s in args.solvers) for gi in range(args.graphs_per_size)]
+        for solver in args.solvers:
             sizes_found = [s for _, s in results[solver] if s is not None]
             times = [t for t, _ in results[solver]]
-            # accuracy convention: per-graph ratio to the best size any solver found
-            ratios = []
-            for gi in range(len(graphs)):
-                best = max(
-                    (results[s][gi][1] or 0) for s in solvers
-                )
-                got = results[solver][gi][1]
-                if best > 0 and got is not None:
-                    ratios.append(got / best)
+            ratios = [got / b for (_, got), b in zip(results[solver], best) if b > 0 and got is not None]
             rows.append(
                 {
                     "n_nodes": n,
                     "solver": solver,
-                    "n_graphs": len(graphs),
-                    "n_timeouts": len(graphs) - len(sizes_found),
+                    "n_graphs": args.graphs_per_size,
+                    "n_timeouts": args.graphs_per_size - len(sizes_found),
                     "mean_time_s": float(np.mean(times)),
                     "mean_size": float(np.mean(sizes_found)) if sizes_found else math.nan,
                     "mean_relative_size": float(np.mean(ratios)) if ratios else math.nan,

@@ -141,10 +141,10 @@ def read_edge_list(path) -> MarketGraph:
             n, theta = int(n_text), float(theta_text)
         except ValueError:
             n = -1  # rejected below, together with a negative count
-        if n < 0:
+        if n < 0 or not -1.0 <= theta <= 1.0:
             raise ValueError(
                 f"{path}: line 1: expected header 'n_nodes theta' with a non-negative integer "
-                f"node count and a numeric theta, got {' '.join(header)!r}"
+                f"node count and a theta in [-1, 1], got {' '.join(header)!r}"
             )
         body = fh.read()
     # One pass when every line is a valid edge.  Only on ASCII digits, signs and

@@ -28,7 +28,7 @@ logger = logging.getLogger(__name__)
 
 #: default trailing window: three years of business days
 DEFAULT_LOOKBACK_DAYS = 756
-#: correlation's row blocks and tiles: n x n temporaries become tile-sized (measured, see CHANGES.md)
+#: correlation's row block: its n x n temporary becomes block-sized (measured, see CHANGES.md)
 _TILE = 256
 
 
@@ -226,7 +226,9 @@ def correlation(returns: ReturnMatrix, window_days: int) -> CorrelationMatrix:
 
     Output is exactly symmetric, clamped to [-1, 1], with unit diagonal for
     every column that varies over the window.  Constant columns are flagged
-    and their correlations set to 0 (see module docstring).
+    and their correlations set to 0 (see module docstring).  Symmetry rests on
+    numpy forming ``d.T @ d`` of one array as a symmetric rank-k update, and
+    on ``c_ij / (s_i * s_j)`` rounding as ``c_ji / (s_j * s_i)`` does.
     """
     w = _trailing(returns, window_days)
     # exact constancy test; centering alone can leave rounding residue
@@ -235,16 +237,9 @@ def correlation(returns: ReturnMatrix, window_days: int) -> CorrelationMatrix:
     norm = np.sqrt((d * d).sum(axis=0))
     safe = np.where(norm == 0.0, 1.0, norm)
     c = d.T @ d
-    n = len(c)
-    # bit for bit (d.T @ d) / outer(safe, safe), then (c + c.T) / 2.0: the
-    # same products and sums, in tiles instead of n x n temporaries
-    for a in range(0, n, _TILE):
+    # bit for bit (d.T @ d) / outer(safe, safe), in row blocks instead of an n x n temporary
+    for a in range(0, len(c), _TILE):
         c[a : a + _TILE] /= safe[a : a + _TILE, None] * safe
-    for a in range(0, n, _TILE):
-        for b in range(a, n, _TILE):
-            tile = (c[a : a + _TILE, b : b + _TILE] + c[b : b + _TILE, a : a + _TILE].T) / 2.0
-            c[a : a + _TILE, b : b + _TILE] = tile
-            c[b : b + _TILE, a : a + _TILE] = tile.T
     np.clip(c, -1.0, 1.0, out=c)
     np.fill_diagonal(c, 1.0)
     flagged = np.flatnonzero(zero | (norm == 0.0))

@@ -7,8 +7,10 @@ import weakref
 import numpy as np
 import pytest
 
+from helpers import er_graph
 from misfolio.backtest import (
     _SWEEP_ROW_ERRORS,
+    SOLVERS,
     SWEEP_COLUMNS,
     AccountingError,
     Summary,
@@ -26,6 +28,7 @@ from misfolio.backtest import (
     monthly_stock_returns,
     rebalance,
     run_backtest,
+    solve_mis,
     summarize,
     sweep_theta,
     weights_ew,
@@ -33,7 +36,8 @@ from misfolio.backtest import (
     write_sweep_csv,
 )
 from misfolio.market_graph import build_graph
-from misfolio.mis_qubo import verify
+from misfolio.mis_qubo import solve_exact, solve_greedy, verify
+from misfolio.sb_solver import SbParams, solve_mis_sb
 from misfolio.timeseries import (
     InsufficientDataError,
     PricePanel,
@@ -186,6 +190,31 @@ def test_config_rejects_zero_lookback_days():
         BacktestConfig(theta=0.25, lookback_days=0)
 
 
+@pytest.mark.parametrize("field", ["solver", "weighting"])
+def test_config_rejects_unknown_solver_and_weighting(field):
+    with pytest.raises(ValueError, match=f"unknown {field} 'annealer'"):
+        BacktestConfig(theta=0.25, **{field: "annealer"})
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_solve_mis_is_the_direct_solver_call(solver):
+    graph = er_graph(30, 0.3, seed=4)
+    params = SbParams(restarts=3, seed=9)
+    direct = {
+        "sb": lambda: solve_mis_sb(graph, params),
+        "greedy": lambda: solve_greedy(graph),
+        "exact": lambda: solve_exact(graph, node_limit=30, time_budget=60.0),
+    }[solver]()
+    got = solve_mis(graph, solver, params, node_limit=30, time_budget=60.0)
+    assert got == direct
+    assert got.feasible is True and verify(graph, got.selected) == (True, [])
+
+
+def test_solve_mis_rejects_an_unknown_solver():
+    with pytest.raises(ValueError, match="unknown solver 'annealer'"):
+        solve_mis(er_graph(5, 0.5, seed=0), "annealer", SbParams(), node_limit=5)
+
+
 def test_rebalance_missing_price_names_ticker_and_month():
     prev = Portfolio(holdings={}, shares={"A": 1.0}, value=0.0)
     with pytest.raises(DataError, match="A.*2020-03"):
@@ -334,14 +363,16 @@ def test_backtest_holds_previous_book_when_no_feasible_selection(monkeypatch):
     from misfolio.mis_qubo import NO_FEASIBLE
 
     panel = synth_panel(6, 350, 2, seed=23)
-    real = bt._solve_month
+    real = bt.solve_mis
+    calls = []
 
-    def flaky(graph, config, month_index):
-        if month_index == 2:
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:  # one solve a month: the third is month 2
             return NO_FEASIBLE
-        return real(graph, config, month_index)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(bt, "_solve_month", flaky)
+    monkeypatch.setattr(bt, "solve_mis", flaky)
     report = run_backtest(panel, BacktestConfig(theta=0.25, lookback_days=126, solver="greedy"))
     held = report.months[2]
     prev = report.months[1]
@@ -528,7 +559,7 @@ def test_sweep_computes_each_month_once_and_solves_each_theta_once(monkeypatch):
     panel = synth_panel(8, 400, 2, seed=3)
     config = BacktestConfig(theta=0.2, lookback_days=126, solver="greedy")
     n_months = len(run_backtest(panel, config).months)
-    calls = {"correlation": 0, "volatility": 0, "_solve_month": 0}
+    calls = {"correlation": 0, "volatility": 0, "solve_mis": 0}
 
     def counting(module, name):
         real = getattr(module, name)
@@ -541,12 +572,12 @@ def test_sweep_computes_each_month_once_and_solves_each_theta_once(monkeypatch):
 
     counting(timeseries, "correlation")
     counting(timeseries, "volatility")
-    counting(backtest, "_solve_month")
+    counting(backtest, "solve_mis")
     rows = sweep_theta(panel, config, [0.2, 0.25, 0.3], ["ew", "ivw"])
     assert all(r.error is None for r in rows)
     assert calls["correlation"] == n_months
     assert 0 < calls["volatility"] <= n_months
-    assert calls["_solve_month"] == 3 * n_months
+    assert calls["solve_mis"] == 3 * n_months
 
 
 def test_sweep_holds_no_more_month_records_than_books(monkeypatch):

@@ -285,6 +285,29 @@ def test_unknown_solver_is_usage_error(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (["bench", "--sizes", "4"], "--solvers", "greedy,annealer"),
+        (["bench", "--sizes", "4"], "--solvers", ","),
+        (["bench", "--sizes", "4"], "--solvers", "greedy,greedy"),
+        (["sweep", "--prices", "{prices}"], "--weightings", "ew,mv"),
+        (["sweep", "--prices", "{prices}"], "--weightings", "ivw,ivw"),
+        (["sweep", "--prices", "{prices}"], "--solver", "annealer"),
+        (["backtest", "--prices", "{prices}", "--theta", "0.2"], "--weighting", "mv"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else v,
+)
+def test_unknown_or_repeated_solver_and_weighting_names_are_usage_errors(tmp_path, capsys, command, flag, value):
+    prices = synth(tmp_path, stocks=4, days=300)
+    argv = [a.format(prices=prices) for a in command] + [flag, value, "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 _SYNTH = ["synth", "--stocks", "3", "--days", "10"]
 _BACKTEST = ["backtest", "--prices", "{prices}", "--theta", "0.2"]
 _BENCH = ["bench", "--sizes", "4", "--solvers", "greedy"]

@@ -208,6 +208,8 @@ def test_graph_from_edges_names_the_first_bad_edge(edges, message):
         ("-3 0.2\n", 1),  # negative node count
         ("3 high\n", 1),  # theta not a number
         ("3\n", 1),  # theta missing
+        ("3 nan\n", 1),  # theta NaN
+        ("3 1.5\n", 1),  # theta above 1
         ("3 0.2\n0 1\n1 b\n", 3),  # edge endpoint not an integer
         ("3 0.2\n0 5\n", 2),  # edge endpoint out of range
         ("3 0.2\n1 1\n", 2),  # self-loop
