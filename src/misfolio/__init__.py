@@ -29,7 +29,6 @@ from .mis_qubo import (
     QuboProblem,
     decode,
     ising_energy,
-    qubo_cost,
     qubo_to_ising,
     select_best,
     solve_exact,
@@ -78,7 +77,6 @@ __all__ = [
     "load_prices",
     "log_returns",
     "monthly_return",
-    "qubo_cost",
     "qubo_to_ising",
     "rebalance",
     "run_backtest",

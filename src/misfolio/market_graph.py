@@ -19,6 +19,8 @@ from .timeseries import CorrelationMatrix
 
 #: a character that no edge line ``i j`` of plain decimal integers holds
 _NOT_INTEGER_TEXT = re.compile(r"[^0-9+\- \t\n]")
+#: rows of the adjacency matrix per block that write_edge_list formats at once
+_EDGE_LIST_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,10 +128,13 @@ def edge_density(graph: MarketGraph) -> float:
 
 def write_edge_list(graph: MarketGraph, path) -> None:
     """Text export: header ``n_nodes theta`` then one ``i j`` pair per line."""
+    a = graph.adjacency_matrix
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{graph.n_nodes} {graph.theta!r}\n")
-        for i, j in graph.edges():
-            fh.write(f"{i} {j}\n")
+        for s in range(0, len(a), _EDGE_LIST_ROWS):
+            # the upper triangle of rows s.. starts at column s + 1 of row s
+            rows, cols = np.nonzero(np.triu(a[s : s + _EDGE_LIST_ROWS], s + 1))
+            fh.write("%d %d\n" * len(rows) % tuple(np.column_stack((rows + s, cols)).ravel().tolist()))
 
 
 def read_edge_list(path) -> MarketGraph:

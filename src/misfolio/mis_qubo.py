@@ -119,18 +119,6 @@ def to_qubo(graph: MarketGraph) -> QuboProblem:
     return QuboProblem(graph)
 
 
-def qubo_cost(problem: QuboProblem, bits) -> float:
-    return float(qubo_cost_many(problem, np.asarray(bits, dtype=np.float64)[None, :])[0])
-
-
-def qubo_cost_many(problem: QuboProblem, bit_rows: np.ndarray) -> np.ndarray:
-    """Vectorized cost for a (m, n) matrix of configurations."""
-    b = np.asarray(bit_rows, dtype=np.float64)
-    # each selected edge appears twice in b A b'
-    selected_edges = ((b @ problem.graph.adjacency_matrix) * b).sum(axis=1) / 2.0
-    return PENALTY * selected_edges - REWARD * b.sum(axis=1)
-
-
 def qubo_to_ising(problem: QuboProblem) -> IsingProblem:
     """Closed form of ``b = (s+1)/2`` (see the module docstring)."""
     a = problem.graph.adjacency_matrix
@@ -223,7 +211,7 @@ def solve_exact(graph: MarketGraph, node_limit: int = 64, time_budget: float | N
         raise GraphTooLargeError(
             f"{n} nodes exceeds node_limit={node_limit}; raise it explicitly for larger graphs"
         )
-    adjacency = list(graph.adjacency)
+    adjacency = graph.adjacency
     incumbent = solve_greedy(graph)
     best_size = incumbent.size
     best_mask = 0
@@ -231,42 +219,40 @@ def solve_exact(graph: MarketGraph, node_limit: int = 64, time_budget: float | N
         best_mask |= 1 << i
     deadline = None if time_budget is None else time.perf_counter() + time_budget
 
-    def expand(candidates: int, chosen: int, size: int):
-        nonlocal best_size, best_mask
+    # depth first: each branch pushes its exclude child, then its include
+    # child, so the include side is searched first
+    stack = [((1 << n) - 1, 0, 0)]
+    while stack:
+        candidates, chosen, size = stack.pop()
         if deadline is not None and time.perf_counter() > deadline:
             raise SolveTimeout(f"exact MIS solve exceeded {time_budget} s")
-        # absorb isolated candidates: every maximum set contains them
-        m = candidates
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            if adjacency[u] & candidates == 0:
-                chosen |= low
-                size += 1
-                candidates ^= low
-            m ^= low
-        if candidates == 0:
-            if size > best_size or (size == best_size and best_mask == 0):
-                best_size, best_mask = size, chosen
-            return
-        if size + _clique_cover_bound(candidates, adjacency) <= best_size:
-            return
-        # branch on a maximum-degree candidate
-        v, vdeg = -1, -1
+        # one pass: absorb isolated candidates (every maximum set contains
+        # them, and dropping one changes no other degree) and find a
+        # maximum-degree candidate, lowest index on ties
+        v, vdeg = -1, 0
         m = candidates
         while m:
             low = m & -m
             u = low.bit_length() - 1
             d = (adjacency[u] & candidates).bit_count()
-            if d > vdeg:
+            if d == 0:
+                chosen |= low
+                size += 1
+                candidates ^= low
+            elif d > vdeg:
                 v, vdeg = u, d
             m ^= low
+        if v < 0:
+            if size > best_size:
+                best_size, best_mask = size, chosen
+            continue
+        if size + _clique_cover_bound(candidates, adjacency) <= best_size:
+            continue
         vbit = 1 << v
-        expand(candidates & ~vbit & ~adjacency[v], chosen | vbit, size + 1)
-        expand(candidates & ~vbit, chosen, size)
+        stack.append((candidates & ~vbit, chosen, size))
+        stack.append((candidates & ~vbit & ~adjacency[v], chosen | vbit, size + 1))
 
-    expand((1 << n) - 1, 0, 0)
-    selected = tuple(i for i in range(n) if best_mask >> i & 1) if best_mask else incumbent.selected
+    selected = tuple(i for i in range(n) if best_mask >> i & 1)
     return MisSolution(selected=selected, feasible=True, source="exact")
 
 

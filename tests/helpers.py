@@ -1,8 +1,9 @@
-"""Shared test utilities: small graph builders, brute-force oracles and a bSB stepper."""
+"""Shared test utilities: small graph builders, brute-force and reference oracles, the QUBO cost and a bSB stepper."""
 
 import numpy as np
 
 from misfolio.market_graph import MarketGraph, graph_from_edges
+from misfolio.mis_qubo import PENALTY, REWARD, QuboProblem, _clique_cover_bound, solve_greedy
 from misfolio.sb_solver import _PinnedSplit, _advance, _setup
 
 
@@ -31,6 +32,18 @@ def brute_force_mis_size(graph: MarketGraph) -> int:
     bits = all_bit_configs(graph.n_nodes)
     sizes = bits.sum(axis=1)
     return int(sizes[feasible_mask(graph, bits)].max())
+
+
+def qubo_cost(problem: QuboProblem, bits) -> float:
+    return float(qubo_cost_many(problem, np.asarray(bits, dtype=np.float64)[None, :])[0])
+
+
+def qubo_cost_many(problem: QuboProblem, bit_rows: np.ndarray) -> np.ndarray:
+    """QUBO cost of each row of a (m, n) matrix of bit configurations."""
+    b = np.asarray(bit_rows, dtype=np.float64)
+    # each selected edge appears twice in b A b'
+    selected_edges = ((b @ problem.graph.adjacency_matrix) * b).sum(axis=1) / 2.0
+    return PENALTY * selected_edges - REWARD * b.sum(axis=1)
 
 
 # --- bitmask references: the Python-int implementations the matrix code replaced
@@ -94,6 +107,39 @@ def ref_repair(graph: MarketGraph, selected) -> tuple[int, ...]:
     free = ((1 << graph.n_nodes) - 1) & ~blocked
     keep.update(ref_min_degree_order(graph.adjacency, free))
     return tuple(sorted(keep))
+
+
+def ref_solve_exact(graph: MarketGraph) -> tuple[int, ...]:
+    """Recursive branch and bound: absorb isolated candidates, bound by a
+    clique cover, then branch on a maximum-degree candidate, include first."""
+    adjacency = graph.adjacency
+    incumbent = solve_greedy(graph).selected
+    best_size, best_mask = len(incumbent), sum(1 << i for i in incumbent)
+
+    def expand(candidates: int, chosen: int, size: int):
+        nonlocal best_size, best_mask
+        for u in ref_iter_bits(candidates):
+            if adjacency[u] & candidates == 0:
+                chosen |= 1 << u
+                size += 1
+                candidates ^= 1 << u
+        if candidates == 0:
+            if size > best_size:
+                best_size, best_mask = size, chosen
+            return
+        if size + _clique_cover_bound(candidates, adjacency) <= best_size:
+            return
+        v, vdeg = -1, -1
+        for u in ref_iter_bits(candidates):
+            d = (adjacency[u] & candidates).bit_count()
+            if d > vdeg:
+                v, vdeg = u, d
+        vbit = 1 << v
+        expand(candidates & ~vbit & ~adjacency[v], chosen | vbit, size + 1)
+        expand(candidates & ~vbit, chosen, size)
+
+    expand((1 << graph.n_nodes) - 1, 0, 0)
+    return tuple(ref_iter_bits(best_mask))
 
 
 def sb_stepper(problem, params, x: np.ndarray, p: np.ndarray, split: bool = False):

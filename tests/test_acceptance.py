@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from helpers import all_bit_configs, er_graph, feasible_mask, sb_stepper
+from helpers import all_bit_configs, er_graph, feasible_mask, qubo_cost_many, sb_stepper
 from misfolio.backtest import (
     BacktestConfig,
     cap_weights,
@@ -20,7 +20,6 @@ from misfolio.backtest import (
 )
 from misfolio.market_graph import build_graph
 from misfolio.mis_qubo import (
-    qubo_cost_many,
     qubo_to_ising,
     solve_exact,
     solve_greedy,

@@ -1,5 +1,6 @@
 import csv
 import functools
+import inspect
 import itertools
 import json
 import subprocess
@@ -261,6 +262,23 @@ def test_bench_exact_timeout_recorded_not_fatal(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["n_timeouts"] == "1"
     assert rows[0]["mean_relative_size"] == ""
+
+
+def test_bench_exact_at_200_nodes_does_not_recurse(tmp_path):
+    out = tmp_path / "bench.csv"
+    argv = ["--seed", "0", "bench", "--sizes", "200", "--graphs-per-size", "1", "--solvers", "greedy,exact",
+            "--timeout-secs", "5", "--out", str(out)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    with open(out) as fh:
+        rows = {row["solver"]: row for row in csv.DictReader(fh)}
+    assert rows["exact"]["n_timeouts"] == "0"
+    assert float(rows["exact"]["mean_size"]) == 19 and float(rows["greedy"]["mean_size"]) == 16
 
 
 def test_bench_sb_without_a_feasible_restart_is_not_a_timeout(tmp_path, monkeypatch):

@@ -166,6 +166,17 @@ def test_market_graph_edge_list_reads_back_equal(tmp_path):
     assert np.array_equal(back.adjacency_matrix, g.adjacency_matrix)
 
 
+def test_edge_list_bytes_are_the_edges_line_by_line(tmp_path):
+    returns = log_returns(synth_panel(150, 300, 3, seed=4))
+    spans_blocks = build_graph(correlation(returns, returns.n_rows), 0.2)  # rows in three blocks of 64
+    assert spans_blocks.n_edges > 1000
+    path = tmp_path / "graph.txt"
+    for g in (spans_blocks, graph_from_edges(5, [], theta=0.2), graph_from_edges(1, []), graph_from_edges(0, [])):
+        write_edge_list(g, path)
+        want = f"{g.n_nodes} {g.theta!r}\n" + "".join(f"{i} {j}\n" for i, j in g.edges())
+        assert path.read_bytes() == want.encode()
+
+
 def test_edge_list_layouts_read_as_the_line_parser_reads_them(tmp_path):
     # blank lines, CRLF, tabs, and 1_0, which loadtxt refuses and int() reads as 10
     path = tmp_path / "graph.txt"

@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +13,11 @@ from helpers import (
     brute_force_mis_size,
     er_graph,
     feasible_mask,
+    qubo_cost,
+    qubo_cost_many,
     ref_greedy,
     ref_repair,
+    ref_solve_exact,
     ref_verify,
 )
 from misfolio.market_graph import MarketGraph, build_graph, graph_from_edges
@@ -25,8 +30,6 @@ from misfolio.mis_qubo import (
     SolveTimeout,
     decode,
     ising_energy,
-    qubo_cost,
-    qubo_cost_many,
     qubo_to_ising,
     repair,
     select_best,
@@ -250,6 +253,35 @@ def test_exact_honors_time_budget():
     g = er_graph(400, 0.5, seed=2)
     with pytest.raises(SolveTimeout):
         solve_exact(g, node_limit=400, time_budget=0.01)
+
+
+@pytest.mark.parametrize("n, factors", [(40, 3), (40, 10), (100, 3), (100, 10), (225, 3), (225, 10)])
+def test_exact_selects_what_the_recursive_search_selects(n, factors):
+    corr = correlation(log_returns(synth_panel(n, 800, factors, seed=3)), 756)
+    for theta in (0.20, 0.25, 0.30, 0.36):
+        g = build_graph(corr, theta)
+        assert solve_exact(g, node_limit=n).selected == ref_solve_exact(g)
+
+
+def test_exact_selects_what_the_recursive_search_selects_on_small_graphs():
+    graphs = [graph_from_edges(0, []), graph_from_edges(1, [])]
+    graphs += [er_graph(n, p, seed) for n in (10, 30, 50) for p in (0.1, 0.3, 0.5) for seed in (0, 1)]
+    for g in graphs:
+        assert solve_exact(g).selected == ref_solve_exact(g)
+
+
+def test_exact_search_does_not_recurse():
+    # the clique cover counts three cliques in a 5-cycle, whose sets hold two,
+    # so on 100 disjoint 5-cycles the bound never prunes and the search goes
+    # hundreds of levels deep until the budget runs out
+    g = graph_from_edges(500, [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(100) for i in range(5)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        with pytest.raises(SolveTimeout):
+            solve_exact(g, node_limit=500, time_budget=1.0)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # --- greedy solver -----------------------------------------------------------
