@@ -18,6 +18,10 @@ Ising energy convention shared by every consumer in this package,
 
 with ``J_ij = -PENALTY/4`` on edges, ``h_i = REWARD/2 - PENALTY*deg_i/4``
 and ``offset = PENALTY*|E|/4 - n*REWARD/2``.
+
+``J`` is float32, the dtype the bSB solver steps in; ``h``, the offset and
+every energy are float64.  An energy is a float64 sum over J's float32
+entries, taken a row block at a time, so no float64 copy of ``J`` is made.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from .market_graph import MarketGraph
 
 PENALTY = 2.0
 REWARD = 1.0
-#: rows per block of IsingProblem's symmetry check (measured, see CHANGES.md)
-_SYMMETRY_ROWS = 64
+#: rows per block of IsingProblem's checks and of the energy sums over J (measured, see CHANGES.md)
+_BLOCK_ROWS = 64
 _NEVER_PICKED = np.iinfo(np.intp).max  # a picked or removed node's degree; later drops take at most n off it
 
 
@@ -57,28 +61,63 @@ def _is_symmetric(j: np.ndarray) -> bool:
     """``np.array_equal(j, j.T)`` in row blocks: each block of rows against
     the matching column strip, from the diagonal on, so no n x n temporary
     is made and ``j`` is read by column only in narrow strips."""
-    step = _SYMMETRY_ROWS
+    step = _BLOCK_ROWS
     return all(np.array_equal(j[s : s + step, s:], j[s:, s : s + step].T) for s in range(0, len(j), step))
+
+
+def _row_blocks(j: np.ndarray):
+    """``(start, j[start : start + _BLOCK_ROWS])`` over the rows of ``j``."""
+    return ((s, j[s : s + _BLOCK_ROWS]) for s in range(0, len(j), _BLOCK_ROWS))
+
+
+def _to_float32(j: np.ndarray) -> np.ndarray:
+    """``j`` as float32, without a copy when it already is, converted and
+    checked a row block at a time so no n x n temporary is made.
+
+    Raises ValueError for an entry that is not finite, lies outside
+    float32's range or is not exactly a float32.
+    """
+    out = j if j.dtype == np.float32 else np.empty(j.shape, dtype=np.float32)
+    top = np.finfo(np.float32).max
+    for s, block in _row_blocks(j):
+        if not np.isfinite(block).all():
+            raise ValueError("J, h and offset must be finite")
+        if out is j:
+            continue
+        # checked before the cast, which would overflow to inf with a warning
+        big = np.abs(block) > top
+        if big.any():
+            raise ValueError(f"J entry {block[big][0]:g} would overflow float32")
+        cast = out[s : s + len(block)]
+        cast[...] = block
+        inexact = cast != block
+        if inexact.any():
+            raise ValueError(f"J entry {float(block[inexact][0])!r} is not exactly representable in float32")
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class IsingProblem:
-    """Symmetric coupling matrix J (zero diagonal), bias h, energy offset; all finite."""
+    """Symmetric coupling matrix J (zero diagonal), bias h, energy offset; all finite.
+
+    ``J`` is stored as float32 and must hold only values float32 represents
+    exactly; ``h`` and ``offset`` are float64.
+    """
 
     j: np.ndarray
     h: np.ndarray
     offset: float
 
     def __post_init__(self):
-        j = np.asarray(self.j, dtype=np.float64)
+        j = np.asarray(self.j)
         h = np.asarray(self.h, dtype=np.float64)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "h", h)
         if h.ndim != 1 or j.shape != (len(h), len(h)):
             raise ValueError(f"h must be a vector and J (len(h), len(h)); got shapes {h.shape} and {j.shape}")
-        # one scalar catches inf/NaN entries and a Frobenius norm that overflows
-        if not (math.isfinite(float(np.vdot(j, j))) and np.isfinite(h).all() and math.isfinite(self.offset)):
-            raise ValueError("J, h and offset must be finite, and sum(J**2) must not overflow")
+        if not (np.isfinite(h).all() and math.isfinite(self.offset)):
+            raise ValueError("J, h and offset must be finite")
+        j = _to_float32(j)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "h", h)
         if np.any(np.diagonal(j) != 0.0) or not _is_symmetric(j):
             raise ValueError("J must be symmetric with zero diagonal")
 
@@ -124,17 +163,26 @@ def qubo_to_ising(problem: QuboProblem) -> IsingProblem:
     a = problem.graph.adjacency_matrix
     n = len(a)
     deg = a.sum(axis=1)
-    # not -(PENALTY/4) * a, which would put -0.0 on every non-edge
-    j = np.where(a, -PENALTY / 4.0, 0.0)
+    # float32 from the start, so no float64 n x n array is made; not
+    # -(PENALTY/4) * a, which would put -0.0 on every non-edge
+    j = np.where(a, np.float32(-PENALTY / 4.0), np.float32(0.0))
     h = REWARD / 2.0 - PENALTY * deg / 4.0
     n_edges = float(deg.sum()) / 2.0
     offset = -n * REWARD / 2.0 + PENALTY * n_edges / 4.0
     return IsingProblem(j=j, h=h, offset=offset)
 
 
-def ising_energy(problem: IsingProblem, spins) -> float:
+def ising_energy(problem: IsingProblem, spins):
+    """``E(s)`` of one spin vector (a float), or of each row of an ``(R, n)``
+    stack (a float64 array), all in one pass over J in row blocks."""
     s = np.asarray(spins, dtype=np.float64)
-    return float(-0.5 * s @ (problem.j @ s) - problem.h @ s)
+    rows = np.atleast_2d(s)
+    quad = np.zeros(len(rows))
+    for start, block in _row_blocks(problem.j):
+        js = rows @ block.astype(np.float64).T
+        quad += np.einsum("ri,ri->r", rows[:, start : start + len(block)], js)
+    energy = -0.5 * quad - rows @ problem.h
+    return float(energy[0]) if s.ndim == 1 else energy
 
 
 def decode(spins) -> MisSolution:

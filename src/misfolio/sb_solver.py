@@ -15,6 +15,20 @@ last.  After ``n_steps`` steps the spins are ``sgn(x_i)`` with
 ``sgn(0) = +1``.  ``dt = 0.2`` and ``alpha0 = 1.0`` are fixed and ``c0``
 follows from ``J`` (below); ``SbParams`` sets n_steps, restarts and seed.
 
+Precision
+---------
+The state, ``J`` (``IsingProblem`` stores it as float32), the bias step
+and every buffer of the step are float32, the only dtype the solver
+steps in.  Apart from the element-wise stages, a step is one product
+over ``J``, and at large n that product is bound by reading ``J``, so 4
+bytes per entry instead of 8 halve its traffic.  ``c0``, the overflow
+bound and the energies are float64 sums over the float32 values, taken
+a row block at a time, so no float64 copy of ``J`` is made.  On a 2-core
+Intel Xeon with OpenBLAS, ``perfbench``'s ``solve_2048`` operation (build
+and solve one 2,048-node market graph) went from a median 0.90 s with
+float64 to 0.60 s, and its peak RSS from 136.6 to 116.8 MB, with every
+seed's set sizes unchanged.
+
 Coupling scale
 --------------
 The scale ``c0`` is not universal; it is always derived from the problem:
@@ -30,7 +44,8 @@ coupling-to-bias ratio.
 Determinism and restarts
 ------------------------
 Run ``r`` draws its initial positions and momenta from Philox4x64 keyed
-by ``(seed << 64) | r``, both uniform in [-1, 1].  Full-range
+by ``(seed << 64) | r``, both uniform in [-1, 1] (drawn in float64 and
+rounded to float32).  Full-range
 initialization matters: with near-zero starts, the deterministic drift
 from the bias swamps the initial differences and every restart funnels
 into the same attractor, wasting the multi-start budget (measured: exact
@@ -45,7 +60,9 @@ step is a fixed sequence of operations, so the same problem, params and
 seed give bit-identical results.  A restart's last bits can depend on
 ``restarts``, though: the BLAS blocks the product by the row count, and
 summation order follows the blocking (with OpenBLAS 0.3.31 at n=2048,
-``(X @ J)[:1]`` differs from ``X[:1] @ J`` in the last bits).
+``(X @ J)[:1]`` differs from ``X[:1] @ J`` in the last bits).  The
+energies of all restarts are computed from their spins after the run,
+in one pass over ``J``.
 
 Skipping pinned spins
 ---------------------
@@ -67,9 +84,10 @@ memory stays small.
 The free set hardly moves from one step to the next (at n=2048, after
 the first 20 steps about one column enters and one leaves per step), so
 the ``J`` rows of the free columns stay resident: a buffer of
-``_RESIDENT_BYTES`` (256 rows at n=2048, one core's L2 cache), allocated
-once per solve, holds ``J[slots]``.  Each step a column that became
-pinned gives up its slot, the last rows in use move into the holes, and
+``_RESIDENT_BYTES`` (512 float32 rows at n=2048; the two cores' L2
+caches of 2 MiB each on the machine it was measured on), allocated once
+per solve, holds ``J[slots]``.  Each step a column that became pinned
+gives up its slot, the last rows in use move into the holes, and
 newly free columns take the open slots, so only the rows that changed
 are gathered.  ``X[:, free] @ J[free]`` is then one product over the
 slots, plus ``_GATHER_ROWS``-row blocks for free columns beyond the
@@ -77,11 +95,13 @@ buffer.
 
 The split is exact when every nonzero entry of ``J`` is +/- the same
 power of two ``2**e``, as in the independent-set encoding (0 or
-``-PENALTY/4 = -0.5``): every term of the kept sums is a small multiple
-of ``2**e`` and every partial sum lies far below ``2**(53 + e)``, so each
-is exact in float64 whatever the order.  The kept product therefore
-equals ``pinned_x @ J`` bit for bit at every step, with no drift.  Only
-the free part is rounded, in slot order rather than the dense product's
+``-PENALTY/4 = -0.5``): every term of the kept sums is ``2**e`` times
+an integer in [-2, 2], and every partial sum, at most about ``1.5 n``
+times ``2**e`` in size, lies far below ``2**(24 + e)`` (for the MIS
+``J``, multiples of 0.5 far below 2**23), so each is exact in float32
+whatever the order.  The kept product therefore equals
+``pinned_x @ J`` bit for bit at every step, with no drift.  Only the
+free part is rounded, in slot order rather than the dense product's
 column order, so a restart's last bits can differ from the dense path's,
 as they can with the BLAS blocking (above); on the graphs tested the
 spins are the same.
@@ -94,8 +114,10 @@ Input validation
 The walls hold every position in [-1, 1] and ``|(J x)_i| <= sqrt(n) |J|_F``,
 so one momentum kick is at most
 ``dt * (alpha0 + c0 * sqrt(n) * |J|_F) + max |bias step|``.
-``IsingProblem`` rejects non-finite values, and ``sb_solve`` rejects a
-problem whose kicks over ``n_steps`` could overflow.
+``IsingProblem`` rejects non-finite values and a ``J`` entry that float32
+cannot hold exactly, and ``sb_solve`` rejects a problem whose momentum
+over ``n_steps`` kicks, whose coupling product or whose factor
+``dt * c0`` could exceed float32's largest value.
 A run's state therefore stays finite, and no step checks it.
 """
 
@@ -127,7 +149,7 @@ ALPHA0 = 1.0  # pump amplitude that alpha_k ramps up to
 _SPLIT_MIN_SPINS = 300
 #: J rows gathered at once by the split; bounds its scratch memory to this many rows
 _GATHER_ROWS = 64
-#: bytes of the split's resident J rows: 256 rows at n=2048, one core's L2 (measured, see CHANGES.md)
+#: bytes of the split's resident J rows: 512 float32 rows at n=2048, two 2 MiB L2 caches (measured, see CHANGES.md)
 _RESIDENT_BYTES = 4 * 2**20
 
 
@@ -158,30 +180,40 @@ class SbRunResult:
     failed: bool = False
 
 
+def _squared_norm(j: np.ndarray) -> float:
+    """``sum(J**2)`` summed in float64; einsum casts through small buffers, so no float64 copy of J is made."""
+    return float(np.einsum("ij,ij->", j, j, dtype=np.float64))
+
+
 def default_coupling_scale(problem: IsingProblem) -> float:
     n = problem.n_spins
     if n < 2:
         return 1.0
     # J has a zero diagonal, so the sum of all squares is the off-diagonal one
-    rms = math.sqrt(float(np.vdot(problem.j, problem.j)) / (n * (n - 1)))
+    rms = math.sqrt(_squared_norm(problem.j) / (n * (n - 1)))
     if rms == 0.0:
         return 1.0
     return DEFAULT_COUPLING_KAPPA / (rms * math.sqrt(n))
 
 
 def _setup(problem: IsingProblem, params: SbParams):
-    """Per-step constants: the bias increment and the coupling scale.
+    """Per-step constants: the float32 bias increment and the coupling scale.
 
-    Raises ValueError if the momentum could overflow (module docstring).
+    Raises ValueError if the float32 state could overflow (module docstring).
     """
     c0 = default_coupling_scale(problem)
     bias_step = (DT * c0) * problem.h
-    mm_bound = math.sqrt(problem.n_spins * float(np.vdot(problem.j, problem.j)))
+    mm_bound = math.sqrt(problem.n_spins * _squared_norm(problem.j))
     kick = DT * (ALPHA0 + c0 * mm_bound) + float(np.max(np.abs(bias_step), initial=0.0))
-    # |p| <= 1 + n_steps * kick, and x moves by dt * p before the walls
-    if not math.isfinite(max(1.0, DT) * (1.0 + params.n_steps * kick)):
-        raise ValueError(f"bSB state could overflow: momentum kick bound {kick:g} over {params.n_steps} steps")
-    return bias_step, c0
+    # |p| <= 1 + n_steps * kick, and x moves by dt * p before the walls; the
+    # float32 product J x and the factor dt * c0 must fit as well
+    bound = max(max(1.0, DT) * (1.0 + params.n_steps * kick), mm_bound, DT * c0)
+    if not bound <= float(np.finfo(np.float32).max):
+        raise ValueError(
+            f"bSB state could overflow float32: momentum kick bound {kick:g} over {params.n_steps} steps, "
+            f"|J x| bound {mm_bound:g}, dt * c0 = {DT * c0:g}"
+        )
+    return bias_step.astype(np.float32), c0
 
 
 class _PinnedSplit:
@@ -199,11 +231,11 @@ class _PinnedSplit:
 
     def __init__(self, j: np.ndarray, shape):
         self.j = j
-        self.pinned_x = np.zeros(shape)
-        self.pinned_mm = np.zeros(shape)
+        self.pinned_x = np.zeros(shape, dtype=np.float32)
+        self.pinned_mm = np.zeros(shape, dtype=np.float32)
         n = len(j)
         capacity = min(n, _RESIDENT_BYTES // (j.itemsize * n))
-        self.rows = np.empty((capacity, n))
+        self.rows = np.empty((capacity, n), dtype=np.float32)
         self.slots = np.empty(capacity, dtype=np.intp)
         self.k = 0
 
@@ -233,7 +265,9 @@ class _PinnedSplit:
         arrivals = unslotted.nonzero()[0]
         take = arrivals[: len(self.slots) - k]
         self.k = k + len(take)
-        np.take(self.j, take, axis=0, out=self.rows[k : self.k])
+        # mode="raise" would gather into a temporary as large as out and copy
+        # it over; the indices come from nonzero, so they are in range
+        np.take(self.j, take, axis=0, out=self.rows[k : self.k], mode="clip")
         self.slots[k : self.k] = take
         return arrivals[len(take) :]
 
@@ -299,16 +333,19 @@ def sb_solve(problem: IsingProblem, params: SbParams) -> list[SbRunResult]:
     """Run ``params.restarts`` restarts as one batch; results in run order."""
     bias_step, c0 = _setup(problem, params)
     rngs = [np.random.Generator(np.random.Philox(key=run_seed_key(params.seed, r))) for r in range(params.restarts)]
-    x = np.stack([rng.uniform(-1.0, 1.0, problem.n_spins) for rng in rngs])
-    p = np.stack([rng.uniform(-1.0, 1.0, problem.n_spins) for rng in rngs])
+    # drawn in float64 and rounded, so each restart keeps its Philox stream
+    x = np.array([rng.uniform(-1.0, 1.0, problem.n_spins) for rng in rngs], dtype=np.float32)
+    p = np.array([rng.uniform(-1.0, 1.0, problem.n_spins) for rng in rngs], dtype=np.float32)
     mm, scratch = np.empty_like(x), np.empty_like(x)
     split = _PinnedSplit(problem.j, x.shape) if _split_pays(problem.j) else None
     for k in range(params.n_steps):
         _advance(x, p, mm, scratch, k, problem.j, bias_step, c0, params, split)
 
+    spins = digitize(x)
+    energies = ising_energy(problem, spins)
     return [
-        SbRunResult(spins=s, energy=ising_energy(problem, s), decoded=decode(s), run_index=r)
-        for r, s in enumerate(map(digitize, x))
+        SbRunResult(spins=s, energy=float(e), decoded=decode(s), run_index=r)
+        for r, (s, e) in enumerate(zip(spins, energies))
     ]
 
 

@@ -143,13 +143,15 @@ def ref_solve_exact(graph: MarketGraph) -> tuple[int, ...]:
 
 
 def sb_stepper(problem, params, x: np.ndarray, p: np.ndarray, split: bool = False):
-    """``step(k)`` runs bSB step ``k`` in place on the ``(R, n)`` state (x, p).
+    """``step(k)`` runs bSB step ``k`` in place on the float32 ``(R, n)`` state (x, p).
 
     It calls the solver's own step kernel with the constants ``sb_solve``
     derives, so a one-row state steps exactly like one restart.  With
     ``split``, the coupling stage is the pinned/free split whatever the size
     of the problem, and ``step.split`` is its state.
     """
+    if x.dtype != np.float32 or p.dtype != np.float32:
+        raise TypeError(f"the bSB state is float32; got {x.dtype} and {p.dtype}")
     bias_step, c0 = _setup(problem, params)
     mm, scratch = np.empty_like(x), np.empty_like(x)
     pinned = _PinnedSplit(problem.j, x.shape) if split else None

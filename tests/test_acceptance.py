@@ -137,13 +137,13 @@ def test_criterion_5_wall_invariant_and_thread_determinism():
     for _ in range(100):
         n = int(rng.integers(2, 30))
         j = rng.uniform(-1, 1, (n, n))
-        j = (j + j.T) / 2
+        j = ((j + j.T) / 2).astype(np.float32)
         np.fill_diagonal(j, 0.0)
         problem_j, problem_h = j, rng.uniform(-2, 2, n)
         from misfolio.mis_qubo import IsingProblem
 
         problem = IsingProblem(j=problem_j, h=problem_h, offset=0.0)
-        x, p = rng.uniform(-1, 1, (1, n)), rng.uniform(-3, 3, (1, n))
+        x, p = (v.astype(np.float32) for v in (rng.uniform(-1, 1, (1, n)), rng.uniform(-3, 3, (1, n))))
         step = sb_stepper(problem, SbParams(n_steps=100), x, p)
         for k in range(100):
             step(k)
