@@ -206,17 +206,31 @@ def verify(graph: MarketGraph, selected) -> tuple[bool, list[tuple[int, int]]]:
 
 
 def _min_degree_order(adjacency: np.ndarray):
-    """Yield min-degree nodes of the shrinking residual graph (lowest index wins ties)."""
-    alive = np.ones(len(adjacency), dtype=bool)
-    deg = np.count_nonzero(adjacency, axis=1)
-    while alive.any():
-        best = int(np.argmin(deg))
-        yield best
-        removed = alive & adjacency[best]
-        removed[best] = True
-        alive &= ~removed
-        deg -= np.count_nonzero(adjacency[removed], axis=0)
-        deg[removed] = _NEVER_PICKED
+    """Yield min-degree nodes of the shrinking residual graph (lowest index wins ties).
+
+    Once the minimum residual degree is 0, every isolated live node is
+    yielded in index order in one step: removing an isolated node changes
+    no other degree, so these are exactly the next picks.
+    """
+    rows = adjacency.view(np.uint8)
+    deg = np.add.reduce(rows, axis=1, dtype=np.intp)
+    alive = np.ones(len(rows), dtype=bool)
+    left = len(rows)
+    while left:
+        best = int(deg.argmin())
+        if deg[best] == 0:
+            # a removed node's degree stays far above 0, so these are live
+            idx = (deg == 0).nonzero()[0]
+            yield from idx.tolist()
+        else:
+            yield best
+            removed = alive & adjacency[best]
+            removed[best] = True
+            idx = removed.nonzero()[0]
+            deg -= np.add.reduce(rows[idx], axis=0, dtype=np.intp)
+        alive[idx] = False
+        deg[idx] = _NEVER_PICKED
+        left -= len(idx)
 
 
 def solve_greedy(graph: MarketGraph) -> MisSolution:

@@ -185,15 +185,19 @@ def _squared_norm(j: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", j, j, dtype=np.float64))
 
 
-def default_coupling_scale(problem: IsingProblem) -> float:
-    n = problem.n_spins
+def _coupling_scale(n: int, squared_norm: float) -> float:
+    """``c0`` of an n-spin problem whose ``J`` has ``sum(J**2) == squared_norm``."""
     if n < 2:
         return 1.0
     # J has a zero diagonal, so the sum of all squares is the off-diagonal one
-    rms = math.sqrt(_squared_norm(problem.j) / (n * (n - 1)))
+    rms = math.sqrt(squared_norm / (n * (n - 1)))
     if rms == 0.0:
         return 1.0
     return DEFAULT_COUPLING_KAPPA / (rms * math.sqrt(n))
+
+
+def default_coupling_scale(problem: IsingProblem) -> float:
+    return _coupling_scale(problem.n_spins, _squared_norm(problem.j))
 
 
 def _setup(problem: IsingProblem, params: SbParams):
@@ -201,9 +205,10 @@ def _setup(problem: IsingProblem, params: SbParams):
 
     Raises ValueError if the float32 state could overflow (module docstring).
     """
-    c0 = default_coupling_scale(problem)
+    squared_norm = _squared_norm(problem.j)  # one pass over J serves c0 and the bound
+    c0 = _coupling_scale(problem.n_spins, squared_norm)
     bias_step = (DT * c0) * problem.h
-    mm_bound = math.sqrt(problem.n_spins * _squared_norm(problem.j))
+    mm_bound = math.sqrt(problem.n_spins * squared_norm)
     kick = DT * (ALPHA0 + c0 * mm_bound) + float(np.max(np.abs(bias_step), initial=0.0))
     # |p| <= 1 + n_steps * kick, and x moves by dt * p before the walls; the
     # float32 product J x and the factor dt * c0 must fit as well
@@ -255,10 +260,14 @@ class _PinnedSplit:
         newly free ones; returns the free columns left without a slot."""
         gone = pinned[self.slots[: self.k]]
         k = self.k - np.count_nonzero(gone)
-        # the last used rows that stay move into the holes below k
+        # the last used rows that stay move into the holes below k, a block
+        # at a time, so the gathered copy stays _GATHER_ROWS rows; holes and
+        # movers lie on either side of k, so no block overwrites another's source
         holes = gone[:k].nonzero()[0]
         movers = k + (~gone[k:]).nonzero()[0]
-        self.rows[holes] = self.rows[movers]
+        for start in range(0, len(holes), _GATHER_ROWS):
+            block = slice(start, start + _GATHER_ROWS)
+            self.rows[holes[block]] = self.rows[movers[block]]
         self.slots[holes] = self.slots[movers]
         unslotted = ~pinned
         unslotted[self.slots[:k]] = False

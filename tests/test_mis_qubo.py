@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -16,10 +16,12 @@ from helpers import (
     qubo_cost,
     qubo_cost_many,
     ref_greedy,
+    ref_min_degree_order,
     ref_repair,
     ref_solve_exact,
     ref_verify,
 )
+from misfolio.backtest import default_theta_grid
 from misfolio.market_graph import MarketGraph, build_graph, graph_from_edges
 from misfolio.mis_qubo import (
     PENALTY,
@@ -28,6 +30,7 @@ from misfolio.mis_qubo import (
     MisSolution,
     NO_FEASIBLE,
     SolveTimeout,
+    _min_degree_order,
     decode,
     ising_energy,
     qubo_to_ising,
@@ -350,15 +353,25 @@ def test_repair_produces_feasible_superset_quality():
     assert fixed.size >= 1
 
 
+def _market_graphs(thetas):
+    panel = synth_panel(200, 1512, 3, 0)
+    returns = log_returns(panel)
+    corr = correlation(returns, returns.n_rows)
+    for theta in thetas:
+        yield f"market theta={theta}", build_graph(corr, theta)
+
+
 def _oracle_graphs():
     rng = np.random.default_rng(2024)
     for k in range(200):
         yield f"er{k}", er_graph(int(rng.integers(1, 41)), float(rng.uniform(0.02, 0.9)), seed=k)
-    panel = synth_panel(200, 1512, 3, 0)
-    returns = log_returns(panel)
-    corr = correlation(returns, returns.n_rows)
-    for theta in (0.18, 0.25, 0.36):
-        yield f"market theta={theta}", build_graph(corr, theta)
+    yield from _market_graphs((0.18, 0.25, 0.36))
+
+
+def assert_same_pick_order(g: MarketGraph, label=""):
+    """The min-degree order pick by pick, not only the set it selects."""
+    full = (1 << g.n_nodes) - 1
+    assert list(_min_degree_order(g.adjacency_matrix)) == list(ref_min_degree_order(g.adjacency, full)), label
 
 
 def test_matrix_greedy_verify_repair_match_bitmask_references():
@@ -367,5 +380,40 @@ def test_matrix_greedy_verify_repair_match_bitmask_references():
         n = g.n_nodes
         selected = tuple(int(i) for i in np.flatnonzero(rng.random(n) < rng.uniform(0.05, 0.9)))
         assert solve_greedy(g).selected == ref_greedy(g), label
+        assert_same_pick_order(g, label)
         assert verify(g, selected) == ref_verify(g, selected), label
         assert repair(g, sol(selected, feasible=False)).selected == ref_repair(g, selected), label
+
+
+def test_min_degree_order_matches_reference_on_the_sweep_grid():
+    # at theta 0.5 and 0.7 most picks take a node already isolated
+    for label, g in _market_graphs([*default_theta_grid(), 0.5, 0.7]):
+        assert_same_pick_order(g, label)
+
+
+@given(st.integers(0, 48), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+@example(0, 0.5, 0)
+@example(30, 0.0, 1)
+@example(30, 1.0, 2)
+@settings(max_examples=60, deadline=None)
+def test_min_degree_order_matches_reference_on_random_graphs(n, p, seed):
+    assert_same_pick_order(er_graph(n, p, seed))
+
+
+def test_nodes_isolated_mid_run_are_taken_where_the_reference_takes_them():
+    # hubs 0 and 4; taking node 1 (degree 2, lowest index) removes both, which
+    # isolates 2 and 5 while 3 and 6 keep their edge: 3 has the lowest
+    # positive degree and lies between the two isolated nodes
+    g = graph_from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 4), (2, 4), (3, 6), (4, 5), (4, 6)])
+    assert list(_min_degree_order(g.adjacency_matrix)) == [1, 2, 5, 3]
+    assert_same_pick_order(g)
+    for bits in range(1 << g.n_nodes):
+        selected = tuple(i for i in range(g.n_nodes) if bits >> i & 1)
+        assert repair(g, sol(selected, feasible=False)).selected == ref_repair(g, selected), selected
+    # repair extends on the free nodes' subgraph, where a random selection
+    # leaves many nodes isolated
+    rng = np.random.default_rng(18)
+    for label, g in _market_graphs((0.5, 0.7)):
+        for _ in range(20):
+            selected = tuple(int(i) for i in np.flatnonzero(rng.random(g.n_nodes) < rng.uniform(0.05, 0.5)))
+            assert repair(g, sol(selected, feasible=False)).selected == ref_repair(g, selected), label
