@@ -21,6 +21,16 @@ in [0, 1)).
 
 Months where no feasible non-empty selection exists keep the previous
 portfolio untouched (no trade, no cost) and are flagged.
+
+Every book of a pass (one in :func:`run_backtest`, one per theta and
+weighting in :func:`sweep_theta`) advances in one array step a month, over
+``(books, tickers)`` arrays of shares, held names and targets.  Each sum
+adds left to right, as Python 3.11's ``sum()`` does, in a fixed order: the
+book value and the weight totals in panel order (a selection is ascending
+node index), the cost equation and the turnover in ticker order.  A name
+outside a book adds exact zeros, so a book's figures do not depend on the
+books beside it.  :func:`rebalance`, :func:`weights_ew` and
+:func:`weights_ivw` are the same step on one book.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,40 +193,117 @@ def derive_seed(base: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` summed left to right, the order of Python 3.11's ``sum()``.
+
+    ``a.sum(axis=1)`` adds pairwise, which can differ in the last bit.
+    """
+    return np.add.accumulate(a, axis=1)[:, -1] if a.shape[1] else np.zeros(len(a))
+
+
+def _zero_volatility(selected: np.ndarray, vols: np.ndarray, tickers) -> dict[int, ZeroVolatilityError]:
+    """The error of each row of ``selected`` that holds a zero-volatility name, naming its first such name."""
+    zero = selected & (vols <= 0.0)
+    return {
+        int(b): ZeroVolatilityError(f"volatility of {tickers[int(zero[b].argmax())]} is zero; inverse weight undefined")
+        for b in np.flatnonzero(zero.any(axis=1))
+    }
+
+
+def _target_weights(selected: np.ndarray, ivw: np.ndarray, vols: np.ndarray | None) -> np.ndarray:
+    """Target weights of each non-empty ``(B, n)`` selection row, renormalized to sum 1.
+
+    Equal weights are ``1/k`` each; inverse-volatility rows (``ivw``) take
+    ``1/vol`` of their positive ``vols``, and a row whose selected
+    volatilities are all equal takes equal weights, so the two schemes
+    coincide to the last bit there.
+    """
+    raw = np.where(selected, (1.0 / np.count_nonzero(selected, axis=1))[:, None], 0.0)
+    if ivw.any():
+        lo = np.where(selected, vols, np.inf).min(axis=1)
+        hi = np.where(selected, vols, -np.inf).max(axis=1)
+        rows = ivw & (lo != hi)
+        raw[rows] = np.where(selected[rows], np.divide(1.0, vols, out=np.zeros_like(vols), where=vols > 0.0), 0.0)
+    return raw / _row_sums(raw)[:, None]
+
+
 def weights_ew(selected) -> dict[str, float]:
     """Equal weights, renormalized so they sum to 1."""
-    names = list(selected)
+    names = list(dict.fromkeys(selected))
     if not names:
         raise ValueError("cannot weight an empty selection")
-    w = 1.0 / len(names)
-    raw = {t: w for t in names}
-    total = sum(raw.values())
-    return {t: v / total for t, v in raw.items()}
+    row = np.ones((1, len(names)), dtype=bool)
+    return dict(zip(names, _target_weights(row, np.zeros(1, dtype=bool), None)[0].tolist()))
 
 
 def weights_ivw(selected, vols: dict[str, float]) -> dict[str, float]:
     """Weights proportional to inverse volatility, renormalized to sum 1.
 
-    All-equal volatilities delegate to :func:`weights_ew`, so the exact
-    coincidence of the two schemes holds to the last bit in that case.
+    All-equal volatilities give the equal weights of :func:`weights_ew`, so
+    the exact coincidence of the two schemes holds to the last bit in that
+    case.
     """
-    names = list(selected)
+    names = list(dict.fromkeys(selected))
     if not names:
         raise ValueError("cannot weight an empty selection")
-    for t in names:
-        if vols[t] <= 0.0:
-            raise ZeroVolatilityError(f"volatility of {t} is zero; inverse weight undefined")
-    if len({vols[t] for t in names}) == 1:
-        return weights_ew(names)
-    raw = {t: 1.0 / vols[t] for t in names}
-    total = sum(raw.values())
-    return {t: v / total for t, v in raw.items()}
+    row = np.ones((1, len(names)), dtype=bool)
+    v = np.array([vols[t] for t in names], dtype=np.float64)
+    zero = _zero_volatility(row, v, names)
+    if zero:
+        raise zero[0]
+    return dict(zip(names, _target_weights(row, np.ones(1, dtype=bool), v)[0].tolist()))
 
 
 def _check_cost_rate(cost_rate: float) -> None:
     # at a rate of 1 or more the cost of a trade eats the whole book
     if not 0.0 <= cost_rate < 1.0:
         raise ValueError(f"cost_rate must lie in [0, 1), got {cost_rate}")
+
+
+def _mark(shares: np.ndarray, held: np.ndarray, value: np.ndarray, prices: np.ndarray):
+    """Each book's positions at ``prices``, and its value: their sum in column order, or ``value`` when it holds none."""
+    current = shares * prices
+    # a name no row holds adds exact zeros, which change no sum
+    return current, np.where(held.any(axis=1), _row_sums(current[:, held.any(axis=0)]), value)
+
+
+def _trade(shares, held, current, value_before, selected, weights, prices, cost_rate: float, order: np.ndarray):
+    """Trade each row from ``current`` positions to ``weights``; return (shares, turnover, cost, value).
+
+    Target positions are ``w * (value_before - cost)`` and the cost is
+    ``cost_rate * turnover`` of the trades that reach them; every row solves
+    both together.  ``order`` lists the columns in ticker order, the order
+    the cost equation sums in.  A held name whose target matches its
+    position to the last bit keeps its shares (no phantom trades, no drift
+    from re-dividing).
+    """
+    union = held | selected
+    # a name outside every row's union adds exact zeros, which change no sum
+    order = order[union.any(axis=0)[order]]
+    w, c = weights[:, order], current[:, order]
+    # the cost solves cost = cost_rate * sum_t |w_t (value_before - cost) - current_t|;
+    # the gap between the sides is concave, piecewise linear and increasing
+    # (slope >= 1 - cost_rate > 0), so Newton from 0 climbs onto the root one
+    # linear piece per step; each row stops at its root, or after one pass per name plus two
+    steps = np.count_nonzero(union, axis=1) + 2
+    cost = np.zeros(len(w))
+    running = np.ones(len(w), dtype=bool)
+    for k in range(int(steps.max())):
+        running &= k < steps
+        gaps = w * (value_before - cost)[:, None] - c
+        new_cost = cost_rate * _row_sums(np.abs(gaps))
+        running &= new_cost != cost
+        if not running.any():
+            break
+        # a name on its kink (g == 0) takes the slope of the piece above the cost
+        slope = _row_sums(np.where(gaps > 0, w, -w))
+        cost = np.where(running, cost + (new_cost - cost) / (1.0 + cost_rate * slope), cost)
+    target = weights * (value_before - cost)[:, None]
+    kept = held & (target == current)
+    shares = np.where(selected, np.where(kept, shares, target / prices), 0.0)
+    turnover = _row_sums(np.abs(target - current)[:, order])
+    cost = cost_rate * turnover
+    return shares, turnover, cost, value_before - cost
 
 
 def rebalance(
@@ -231,46 +319,32 @@ def rebalance(
     ``w * (value_before - cost)`` and the cost is ``cost_rate * turnover``
     of the trades that reach them; both are solved simultaneously.
     Names whose target matches the current position to the last bit are
-    left untouched (no phantom trades, no drift from re-dividing).
+    left untouched (no phantom trades, no drift from re-dividing).  This is
+    the backtest's own array step on one book.
     """
     _check_cost_rate(cost_rate)
-    for t in set(prev.shares) | set(new_weights):
+    names = list(dict.fromkeys([*prev.shares, *new_weights]))
+    for t in names:
         if t not in prices:
             raise DataError(f"no price for {t} in month {month or '?'}")
         if prices[t] <= 0:
             raise DataError(f"non-positive price for {t} in month {month or '?'}")
 
-    current = {t: s * prices[t] for t, s in prev.shares.items()}
-    value_before = sum(current.values()) if prev.shares else prev.value
-
-    # the cost solves cost = cost_rate * sum_t |w_t (value_before - cost) - current_t|;
-    # the gap between the sides is concave, piecewise linear and increasing
-    # (slope >= 1 - cost_rate > 0), so Newton from 0 climbs onto the root one
-    # linear piece per step
-    names = sorted(set(current) | set(new_weights))
-    weight = [new_weights.get(t, 0.0) for t in names]
-    held = [current.get(t, 0.0) for t in names]
-    cost = 0.0
-    for _ in range(len(names) + 2):
-        gaps = [w * (value_before - cost) - c for w, c in zip(weight, held)]
-        new_cost = cost_rate * sum(abs(g) for g in gaps)
-        if new_cost == cost:
-            break
-        # a name on its kink (g == 0) takes the slope of the piece above the cost
-        cost += (new_cost - cost) / (1.0 + cost_rate * sum(w if g > 0 else -w for w, g in zip(weight, gaps)))
-    v_post = value_before - cost
-
-    shares: dict[str, float] = {}
-    for t, w in new_weights.items():
-        target = w * v_post
-        if target == current.get(t, 0.0) and t in prev.shares:
-            shares[t] = prev.shares[t]
-        else:
-            shares[t] = target / prices[t]
-    turnover = sum(abs(w * v_post - c) for w, c in zip(weight, held))
-    cost = cost_rate * turnover
-    portfolio = Portfolio(holdings=dict(new_weights), shares=shares, value=value_before - cost)
-    return portfolio, turnover, cost
+    shares = np.array([[prev.shares.get(t, 0.0) for t in names]], dtype=np.float64)
+    held = np.array([[t in prev.shares for t in names]])
+    selected = np.array([[t in new_weights for t in names]])
+    weights = np.array([[new_weights.get(t, 0.0) for t in names]], dtype=np.float64)
+    px = np.array([prices[t] for t in names], dtype=np.float64)
+    order = np.array(sorted(range(len(names)), key=names.__getitem__), dtype=np.intp)
+    current, value_before = _mark(shares, held, np.array([prev.value], dtype=np.float64), px)
+    shares, turnover, cost, value = _trade(shares, held, current, value_before, selected, weights, px, cost_rate, order)
+    column = {t: k for k, t in enumerate(names)}
+    portfolio = Portfolio(
+        holdings=dict(new_weights),
+        shares={t: float(shares[0, column[t]]) for t in new_weights},
+        value=float(value[0]),
+    )
+    return portfolio, float(turnover[0]), float(cost[0])
 
 
 def monthly_return(prev_value: float, value: float) -> float:
@@ -318,21 +392,6 @@ def solve_mis(graph: market_graph.MarketGraph, solver: str, params: SbParams, no
     raise ValueError(f"unknown solver {solver!r}")
 
 
-def _month_weights(
-    selection: mis_qubo.MisSolution,
-    tickers: tuple[str, ...],
-    vols: np.ndarray | None,
-    weighting: str,
-) -> dict[str, float] | None:
-    """Target weights for the month's selection, or None to hold the book."""
-    if selection.feasible is not True or selection.size == 0:
-        return None
-    names = [tickers[i] for i in selection.selected]
-    if weighting == "ew":
-        return weights_ew(names)
-    return weights_ivw(names, {tickers[i]: float(vols[i]) for i in selection.selected})
-
-
 #: errors that stop one book (one sweep row) without stopping the others
 _SWEEP_ROW_ERRORS = (
     DataError,
@@ -344,50 +403,94 @@ _SWEEP_ROW_ERRORS = (
 )
 
 
-@dataclass(eq=False)
-class _Book:
-    """One (theta, weighting) simulation, advanced a month at a time."""
+class _Month(NamedTuple):
+    """One month of a pass, each array over every book; ``live`` marks the books that advanced."""
 
-    config: BacktestConfig
-    portfolio: Portfolio
-    error: Exception | None = None
-
-    def advance(self, mi: int, date: str, density: float, weights: dict[str, float] | None, prices: dict) -> MonthRecord:
-        prev_value = self.portfolio.value
-        if weights is None:
-            # hold: the book rolls forward untouched at month-end prices,
-            # no trades, no cost; the month is flagged infeasible
-            turnover = cost = 0.0
-            if self.portfolio.shares:
-                self.portfolio.value = sum(s * prices[t] for t, s in self.portfolio.shares.items())
-        else:
-            # the month-end value is net of this month's trading costs, so
-            # the return series carries the cost drag
-            self.portfolio, turnover, cost = rebalance(self.portfolio, weights, prices, self.config.cost_rate, month=date)
-        return MonthRecord(
-            date=date,
-            ret=monthly_return(prev_value, self.portfolio.value) if mi else None,
-            edge_density=density,
-            turnover=turnover,
-            cost=cost,
-            feasible=weights is not None,
-            weights=dict(self.portfolio.holdings),
-        )
+    live: np.ndarray
+    ret: np.ndarray | None  # None in the first month
+    turnover: np.ndarray
+    cost: np.ndarray
+    traded: np.ndarray
+    date: str
+    density: np.ndarray
 
 
-def _simulate(panel: PricePanel, books: list[_Book], group: int):
-    """Run ``books`` in one pass over the months; yield ``(book, MonthRecord)`` per live book-month.
+class _Books:
+    """Every book of one pass, row ``b`` for ``configs[b]``, as arrays over the panel's ``tickers``.
+
+    ``shares`` and ``weights`` hold each book's positions and the target
+    weights it last traded to, ``held`` marks the names of its positions and
+    ``value`` is its value at the last month-end.  A book whose ``errors``
+    entry is set has stopped.  The configs share ``cost_rate``.
+    """
+
+    def __init__(self, configs: list[BacktestConfig], tickers: tuple[str, ...]):
+        n_tickers = len(tickers)
+        self.configs = configs
+        self.tickers = tickers
+        # the cost equation sums in ticker order, as one book's sorted names did
+        self.order = np.array(sorted(range(n_tickers), key=tickers.__getitem__), dtype=np.intp)
+        self.cost_rate = configs[0].cost_rate
+        self.ivw = np.array([c.weighting == "ivw" for c in configs])
+        self.shares = np.zeros((len(configs), n_tickers))
+        self.held = np.zeros((len(configs), n_tickers), dtype=bool)
+        self.weights = np.zeros((len(configs), n_tickers))
+        self.value = np.array([c.initial_value for c in configs], dtype=np.float64)
+        self.hold_months = np.zeros(len(configs), dtype=np.intp)
+        self.errors: list[Exception | None] = [None] * len(configs)
+
+    def advance(self, first: bool, selected: np.ndarray, vols: np.ndarray | None, prices: np.ndarray):
+        """Move every live book one month at ``prices``; return ``(live, ret, turnover, cost, traded)``.
+
+        A book trades to the target weights of its ``selected`` row, or holds
+        its positions, with no trade and no cost, when the row is empty.  The
+        month-end value is net of the month's trading costs, so the return
+        carries the cost drag; ``ret`` is None in the ``first`` month.  A
+        zero-volatility name in an ivw selection, or a non-positive base
+        value, stores that book's error and takes it out of ``live``.
+        """
+        live = np.array([e is None for e in self.errors])
+        traded = live & selected.any(axis=1)
+        if vols is not None:
+            for b, exc in _zero_volatility(selected & (traded & self.ivw)[:, None], vols, self.tickers).items():
+                self.errors[b] = exc
+                live[b] = traded[b] = False
+        current, value = _mark(self.shares, self.held, self.value, prices)
+        turnover, cost = np.zeros(len(live)), np.zeros(len(live))
+        rows = np.flatnonzero(traded)
+        if len(rows):
+            weights = _target_weights(selected[rows], self.ivw[rows], vols)
+            self.shares[rows], turnover[rows], cost[rows], value[rows] = _trade(
+                self.shares[rows], self.held[rows], current[rows], value[rows],
+                selected[rows], weights, prices, self.cost_rate, self.order,
+            )
+            self.held[rows] = selected[rows]
+            self.weights[rows] = weights
+        self.hold_months += live & ~traded
+        ret = None
+        if not first:
+            for b in np.flatnonzero(live & (self.value <= 0.0)):
+                self.errors[b] = AccountingError(f"non-positive base value {float(self.value[b])}")
+                live[b] = False
+            ret = np.full(len(live), np.nan)
+            ret[live] = value[live] / self.value[live] - 1.0
+        self.value[live] = value[live]
+        return live, ret, turnover, cost, traded
+
+
+def _simulate(panel: PricePanel, books: _Books, group: int):
+    """Run ``books`` in one pass over the months; yield one :class:`_Month` per month.
 
     Each run of ``group`` consecutive books shares one config but the
     weighting, and the configs differ only in ``theta`` and ``seed``.  Each
     month's window, correlation and volatility are computed once for every
     book; each config's graph is built and solved once, and its books share
-    that selection.  The pass keeps no record.  A data or solver error stops
-    only the books it reaches and is stored in their ``error``; any other
-    exception propagates.
+    that selection.  All live books then advance in one array step.  The
+    pass keeps no record.  A data or solver error stops only the books it
+    reaches and is stored in ``books.errors``; any other exception
+    propagates.
     """
-    groups = [books[k : k + group] for k in range(0, len(books), group)]
-    config = books[0].config
+    config = books.configs[0]
     try:
         returns = timeseries.log_returns(panel)
         all_ends = month_end_indices(panel.dates)
@@ -400,51 +503,60 @@ def _simulate(panel: PricePanel, books: list[_Book], group: int):
         if len(windows) < 2:
             raise InsufficientDataError("panel must span the lookback plus at least two month-ends")
     except InsufficientDataError as exc:
-        for book in books:
-            book.error = exc
+        books.errors = [exc] * len(books.errors)
         return
-    ivw = any(b.config.weighting == "ivw" for b in books)
+    n_books = len(books.configs)
+    all_groups = [range(k, k + group) for k in range(0, n_books, group)]
 
     for mi, (di, window_days) in enumerate(windows):
         # months outside, thetas inside: one correlation matrix is alive at a time
-        live = [kept for g in groups if (kept := [b for b in g if b.error is None])]
-        if not live:
+        groups = [rows for rows in all_groups if any(books.errors[b] is None for b in rows)]
+        if not groups:
             break
-        date = panel.dates[di]
         window = timeseries.ReturnMatrix(
             dates=returns.dates[:di], tickers=returns.tickers, values=returns.values[:di]
         )
         corr = timeseries.correlation(window, window_days)
-        vols = timeseries.volatility(window, window_days) if ivw else None
-        prices = dict(zip(panel.tickers, panel.prices[di].tolist()))
-        for g in live:
-            cfg = g[0].config
+        vols = timeseries.volatility(window, window_days) if books.ivw.any() else None
+        density = np.zeros(n_books)
+        selected = np.zeros((n_books, panel.n_tickers), dtype=bool)
+        for rows in groups:
+            cfg = books.configs[rows.start]
             graph = market_graph.build_graph(corr, cfg.theta)
-            density = market_graph.edge_density(graph) if graph.n_nodes >= 2 else 0.0
+            density[rows.start : rows.stop] = market_graph.edge_density(graph) if graph.n_nodes >= 2 else 0.0
             try:
                 params = SbParams(restarts=cfg.restarts, seed=derive_seed(cfg.seed, mi))
                 selection = solve_mis(graph, cfg.solver, params, cfg.node_limit)
             except _SWEEP_ROW_ERRORS as exc:
-                for book in g:
-                    book.error = exc
+                for b in rows:
+                    if books.errors[b] is None:
+                        books.errors[b] = exc
                 continue
-            for book in g:
-                try:
-                    weights = _month_weights(selection, window.tickers, vols, book.config.weighting)
-                    record = book.advance(mi, date, density, weights, prices)
-                except _SWEEP_ROW_ERRORS as exc:
-                    book.error = exc
-                    continue
-                # outside the try, so no error of the caller's is stored as this book's
-                yield book, record
+            # an empty or infeasible selection holds the book
+            if selection.feasible is True and selection.size:
+                selected[rows.start : rows.stop, list(selection.selected)] = True
+        yield _Month(*books.advance(mi == 0, selected, vols, panel.prices[di]), panel.dates[di], density)
 
 
 def run_backtest(panel: PricePanel, config: BacktestConfig) -> BacktestReport:
     """Simulate the strategy over every eligible month-end of ``panel``."""
-    book = _Book(config, Portfolio({}, {}, config.initial_value))
-    months = [record for _, record in _simulate(panel, [book], 1)]
-    if book.error is not None:
-        raise book.error
+    books = _Books([config], panel.tickers)
+    months = []
+    for month in _simulate(panel, books, 1):
+        if not month.live[0]:
+            continue
+        names = np.flatnonzero(books.held[0])
+        months.append(MonthRecord(
+            date=month.date,
+            ret=None if month.ret is None else float(month.ret[0]),
+            edge_density=float(month.density[0]),
+            turnover=float(month.turnover[0]),
+            cost=float(month.cost[0]),
+            feasible=bool(month.traded[0]),
+            weights=dict(zip([panel.tickers[i] for i in names], books.weights[0, names].tolist())),
+        ))
+    if books.errors[0] is not None:
+        raise books.errors[0]
     rets = [m.ret for m in months if m.ret is not None]
     return BacktestReport(months=months, summary=summarize(rets) if len(rets) >= MONTHS_PER_YEAR else None)
 
@@ -485,6 +597,7 @@ class SweepRow:
     annual_return: float = math.nan
     annual_risk: float = math.nan
     sharpe: float = math.nan
+    hold_months: int | None = None
     error: str | None = None
 
 
@@ -510,8 +623,9 @@ def sweep_theta(
     of a theta share its derived seed ``derive_seed(base_config.seed, theta
     index)`` and so one selection, and their graph and selection statistics
     coincide row-to-row.  Every row equals the one its own
-    ``run_backtest`` with that theta, weighting and seed would give.  A book
-    keeps only each month's density, selection size and return, no weights.
+    ``run_backtest`` with that theta, weighting and seed would give.  The
+    pass records only each book's monthly density, selection size and
+    return, and its count of held months, never a month's weights.
 
     A data or solver error in one setting fills that row's ``error`` and the
     sweep goes on; any other exception propagates.
@@ -520,26 +634,32 @@ def sweep_theta(
     weightings = list(weighting_list) if weighting_list is not None else list(WEIGHTINGS)
     if not thetas or not weightings:
         raise ValueError("theta_list and weighting_list must be non-empty")
-    books = [
-        _Book(dataclasses.replace(base_config, theta=theta, seed=derive_seed(base_config.seed, ti), weighting=w),
-              Portfolio({}, {}, base_config.initial_value))
+    configs = [
+        dataclasses.replace(base_config, theta=theta, seed=derive_seed(base_config.seed, ti), weighting=w)
         for ti, theta in enumerate(thetas)
         for w in weightings
     ]
-    months = {book: [] for book in books}
-    for book, record in _simulate(panel, books, len(weightings)):
-        months[book].append((record.edge_density, record.n_constituents, record.ret))
-    return [_sweep_row(book, months[book]) for book in books]
+    books = _Books(configs, panel.tickers)
+    dens, sizes, rets = [], [], []
+    for month in _simulate(panel, books, len(weightings)):
+        dens.append(month.density)
+        sizes.append(np.count_nonzero(books.held, axis=1))
+        if month.ret is not None:
+            rets.append(month.ret)
+    # one contiguous row of months per book, as a list of its months would give
+    dens, sizes, rets = (np.array(m, dtype=np.float64).reshape(-1, len(configs)).T.copy() for m in (dens, sizes, rets))
+    return [
+        _sweep_row(*book)
+        for book in zip(configs, books.errors, books.hold_months.tolist(), dens, sizes, rets)
+    ]
 
 
-def _sweep_row(book: _Book, months: list[tuple[float, int, float | None]]) -> SweepRow:
-    row = SweepRow(theta=book.config.theta, weighting=book.config.weighting)
-    if book.error is not None:
-        row.error = f"{type(book.error).__name__}: {book.error}"
+def _sweep_row(config: BacktestConfig, error: Exception | None, hold_months: int,
+               dens: np.ndarray, sizes: np.ndarray, rets: np.ndarray) -> SweepRow:
+    row = SweepRow(theta=config.theta, weighting=config.weighting)
+    if error is not None:
+        row.error = f"{type(error).__name__}: {error}"
         return row
-    dens = np.array([d for d, _, _ in months])
-    sizes = np.array([n for _, n, _ in months], dtype=np.float64)
-    rets = [r for _, _, r in months if r is not None]
     row.density_max = float(dens.max())
     row.density_min = float(dens.min())
     row.density_avg = float(dens.mean())
@@ -547,6 +667,7 @@ def _sweep_row(book: _Book, months: list[tuple[float, int, float | None]]) -> Sw
     row.size_min = int(sizes.min())
     row.size_avg = float(sizes.mean())
     row.size_sd = float(sizes.std())
+    row.hold_months = hold_months
     if len(rets) >= MONTHS_PER_YEAR:
         row.annual_return, row.annual_risk, row.sharpe = dataclasses.astuple(summarize(rets))
     return row

@@ -2,9 +2,22 @@
 
 import numpy as np
 
+from misfolio import market_graph, timeseries
+from misfolio.backtest import (
+    DataError,
+    InsufficientDataError,
+    MonthRecord,
+    Portfolio,
+    ZeroVolatilityError,
+    _check_cost_rate,
+    derive_seed,
+    month_end_indices,
+    monthly_return,
+    solve_mis,
+)
 from misfolio.market_graph import MarketGraph, graph_from_edges
 from misfolio.mis_qubo import PENALTY, REWARD, QuboProblem, _clique_cover_bound, solve_greedy
-from misfolio.sb_solver import _PinnedSplit, _advance, _setup
+from misfolio.sb_solver import SbParams, _PinnedSplit, _advance, _setup
 
 
 def er_graph(n: int, p: float, seed: int) -> MarketGraph:
@@ -161,3 +174,115 @@ def sb_stepper(problem, params, x: np.ndarray, p: np.ndarray, split: bool = Fals
 
     step.split = pinned
     return step
+
+
+# --- dict references: the per-book accounting the backtest's array step replaced
+
+
+def ref_weights_ew(selected) -> dict[str, float]:
+    names = list(selected)
+    if not names:
+        raise ValueError("cannot weight an empty selection")
+    w = 1.0 / len(names)
+    raw = {t: w for t in names}
+    total = sum(raw.values())
+    return {t: v / total for t, v in raw.items()}
+
+
+def ref_weights_ivw(selected, vols: dict[str, float]) -> dict[str, float]:
+    names = list(selected)
+    if not names:
+        raise ValueError("cannot weight an empty selection")
+    for t in names:
+        if vols[t] <= 0.0:
+            raise ZeroVolatilityError(f"volatility of {t} is zero; inverse weight undefined")
+    if len({vols[t] for t in names}) == 1:
+        return ref_weights_ew(names)
+    raw = {t: 1.0 / vols[t] for t in names}
+    total = sum(raw.values())
+    return {t: v / total for t, v in raw.items()}
+
+
+def ref_rebalance(prev: Portfolio, new_weights: dict[str, float], prices: dict[str, float], cost_rate: float,
+                  month: str = "") -> tuple[Portfolio, float, float]:
+    """One book's trade, name by name in dicts: Newton on the cost equation over the sorted names."""
+    _check_cost_rate(cost_rate)
+    for t in set(prev.shares) | set(new_weights):
+        if t not in prices:
+            raise DataError(f"no price for {t} in month {month or '?'}")
+        if prices[t] <= 0:
+            raise DataError(f"non-positive price for {t} in month {month or '?'}")
+
+    current = {t: s * prices[t] for t, s in prev.shares.items()}
+    value_before = sum(current.values()) if prev.shares else prev.value
+    names = sorted(set(current) | set(new_weights))
+    weight = [new_weights.get(t, 0.0) for t in names]
+    held = [current.get(t, 0.0) for t in names]
+    cost = 0.0
+    for _ in range(len(names) + 2):
+        gaps = [w * (value_before - cost) - c for w, c in zip(weight, held)]
+        new_cost = cost_rate * sum(abs(g) for g in gaps)
+        if new_cost == cost:
+            break
+        cost += (new_cost - cost) / (1.0 + cost_rate * sum(w if g > 0 else -w for w, g in zip(weight, gaps)))
+    v_post = value_before - cost
+
+    shares: dict[str, float] = {}
+    for t, w in new_weights.items():
+        target = w * v_post
+        if target == current.get(t, 0.0) and t in prev.shares:
+            shares[t] = prev.shares[t]
+        else:
+            shares[t] = target / prices[t]
+    turnover = sum(abs(w * v_post - c) for w, c in zip(weight, held))
+    cost = cost_rate * turnover
+    portfolio = Portfolio(holdings=dict(new_weights), shares=shares, value=value_before - cost)
+    return portfolio, turnover, cost
+
+
+def ref_backtest_months(panel, config) -> list[MonthRecord]:
+    """One book's month records, month by month through the dict references above.
+
+    Raises the data or solver error that would stop the book.
+    """
+    returns = timeseries.log_returns(panel)
+    all_ends = month_end_indices(panel.dates)
+    if config.lookback_months is not None:
+        windows = [(di, di - all_ends[pos]) for pos, di in enumerate(all_ends[config.lookback_months:])]
+    else:
+        windows = [(di, config.lookback_days) for di in all_ends if di >= config.lookback_days]
+    if len(windows) < 2:
+        raise InsufficientDataError("panel must span the lookback plus at least two month-ends")
+    portfolio = Portfolio({}, {}, config.initial_value)
+    months = []
+    for mi, (di, window_days) in enumerate(windows):
+        window = timeseries.ReturnMatrix(dates=returns.dates[:di], tickers=returns.tickers, values=returns.values[:di])
+        graph = market_graph.build_graph(timeseries.correlation(window, window_days), config.theta)
+        density = market_graph.edge_density(graph) if graph.n_nodes >= 2 else 0.0
+        params = SbParams(restarts=config.restarts, seed=derive_seed(config.seed, mi))
+        selection = solve_mis(graph, config.solver, params, config.node_limit)
+        prices = dict(zip(panel.tickers, panel.prices[di].tolist()))
+        prev_value = portfolio.value
+        feasible = selection.feasible is True and selection.size > 0
+        if not feasible:
+            turnover = cost = 0.0
+            if portfolio.shares:
+                portfolio.value = sum(s * prices[t] for t, s in portfolio.shares.items())
+        else:
+            names = [panel.tickers[i] for i in selection.selected]
+            if config.weighting == "ew":
+                weights = ref_weights_ew(names)
+            else:
+                vols = timeseries.volatility(window, window_days)
+                weights = ref_weights_ivw(names, {panel.tickers[i]: float(vols[i]) for i in selection.selected})
+            portfolio, turnover, cost = ref_rebalance(portfolio, weights, prices, config.cost_rate, panel.dates[di])
+        months.append(MonthRecord(
+            date=panel.dates[di],
+            ret=monthly_return(prev_value, portfolio.value) if mi else None,
+            edge_density=density,
+            turnover=turnover,
+            cost=cost,
+            feasible=feasible,
+            weights=dict(portfolio.holdings),
+        ))
+    return months

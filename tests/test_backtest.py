@@ -6,10 +6,13 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import er_graph
+from helpers import er_graph, ref_backtest_months, ref_rebalance, ref_weights_ew, ref_weights_ivw
 from misfolio.backtest import (
     _SWEEP_ROW_ERRORS,
+    _Books,
     SOLVERS,
     SWEEP_COLUMNS,
     AccountingError,
@@ -154,6 +157,73 @@ def test_rebalance_accounting_holds_up_to_high_cost_rates(cost_rate):
     assert held == pytest.approx(out.value, rel=1e-12)
     assert out.value == pytest.approx(2 * (1 - cost_rate) / (1 + cost_rate), rel=1e-12)
     assert cost == cost_rate * turnover
+
+
+#: panel order, deliberately not ticker order
+STEP_TICKERS = ("b", "A", "T10", "T2", "a", "Z9", "T1", "c")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_array_step_matches_the_dict_reference_bit_for_bit(data):
+    # several books advance together over a few months: names enter and
+    # leave, empty selections hold the book, equal volatilities fall back to
+    # equal weights and a zero volatility stops only its own ivw book
+    n = data.draw(st.integers(1, len(STEP_TICKERS)), label="n")
+    tickers = STEP_TICKERS[:n]
+    cost_rate = data.draw(st.sampled_from([0.0, 0.001, 0.5, 0.999]) | st.floats(0.0, 0.999), label="cost_rate")
+    ivw = data.draw(st.lists(st.booleans(), min_size=1, max_size=4), label="ivw")
+    configs = [BacktestConfig(theta=0.2, weighting="ivw" if v else "ew", cost_rate=cost_rate, initial_value=100.0)
+               for v in ivw]
+    books = _Books(configs, tickers)
+    refs = [Portfolio({}, {}, 100.0) for _ in configs]
+    errors = [None] * len(configs)
+    holds = [0] * len(configs)
+    level = st.sampled_from([1.0, 2.0, 4.0]) | st.floats(0.01, 1000.0)
+    vol = st.sampled_from([0.0, 0.1, 0.2]) | st.floats(0.001, 1.0)
+    for month in range(data.draw(st.integers(1, 4), label="months")):
+        prices = np.array(data.draw(st.lists(level, min_size=n, max_size=n), label="prices"))
+        vols = np.array(data.draw(st.lists(vol, min_size=n, max_size=n), label="vols"))
+        selected = np.array([
+            data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="selected") for _ in configs
+        ]).reshape(len(configs), n)
+        live, ret, turnover, cost, traded = books.advance(month == 0, selected, vols, prices)
+        price, vol_of = dict(zip(tickers, prices.tolist())), dict(zip(tickers, vols.tolist()))
+        for b, ref in enumerate(refs):
+            if errors[b] is not None:
+                assert not live[b]
+                continue
+            names = [tickers[i] for i in np.flatnonzero(selected[b])]
+            prev_value = ref.value
+            if names:
+                try:
+                    weights = ref_weights_ivw(names, vol_of) if ivw[b] else ref_weights_ew(names)
+                except ZeroVolatilityError as exc:
+                    errors[b] = exc
+                    assert not live[b] and str(books.errors[b]) == str(exc)
+                    continue
+                assert weights == (weights_ivw(names, vol_of) if ivw[b] else weights_ew(names))
+                refs[b], want_turnover, want_cost = ref_rebalance(ref, weights, price, cost_rate)
+                one = rebalance(ref, weights, price, cost_rate)
+                assert repr(one) == repr((refs[b], want_turnover, want_cost))
+            else:
+                holds[b] += 1
+                want_turnover = want_cost = 0.0
+                if ref.shares:
+                    ref.value = sum(s * price[t] for t, s in ref.shares.items())
+            ref = refs[b]
+            cols = np.flatnonzero(books.held[b])
+            got = (
+                {tickers[i]: float(books.shares[b, i]) for i in cols},
+                {tickers[i]: float(books.weights[b, i]) for i in cols},
+                float(books.value[b]), float(turnover[b]), float(cost[b]), bool(traded[b]),
+            )
+            assert repr(got) == repr((ref.shares, ref.holdings, ref.value, want_turnover, want_cost, bool(names)))
+            assert live[b] and books.errors[b] is None
+            assert (ret is None) == (month == 0)
+            if ret is not None:
+                assert repr(float(ret[b])) == repr(monthly_return(prev_value, ref.value))
+    assert books.hold_months.tolist() == holds
 
 
 @pytest.mark.parametrize("cost_rate", [-0.001, 1.0, 2.0])
@@ -512,24 +582,24 @@ def with_flat_ticker(panel, price=50.0):
 
 
 def slow_sweep_row(panel, config, theta_index, theta, weighting):
-    """The row of one setting from its own full backtest, as the sweep once built it."""
+    """The row of one setting from its own book, advanced month by month through the dict references."""
     row = SweepRow(theta=theta, weighting=weighting)
     try:
-        report = run_backtest(panel, dataclasses.replace(
+        months = ref_backtest_months(panel, dataclasses.replace(
             config, theta=theta, weighting=weighting, seed=derive_seed(config.seed, theta_index)
         ))
     except _SWEEP_ROW_ERRORS as exc:
         row.error = f"{type(exc).__name__}: {exc}"
         return row
-    dens = np.array([m.edge_density for m in report.months])
-    sizes = np.array([m.n_constituents for m in report.months], dtype=np.float64)
+    dens = np.array([m.edge_density for m in months])
+    sizes = np.array([m.n_constituents for m in months], dtype=np.float64)
     row.density_max, row.density_min, row.density_avg = float(dens.max()), float(dens.min()), float(dens.mean())
     row.size_max, row.size_min = int(sizes.max()), int(sizes.min())
     row.size_avg, row.size_sd = float(sizes.mean()), float(sizes.std())
-    if report.summary is not None:
-        row.annual_return = report.summary.annual_return
-        row.annual_risk = report.summary.annual_risk
-        row.sharpe = report.summary.sharpe
+    row.hold_months = sum(not m.feasible for m in months)
+    rets = [m.ret for m in months if m.ret is not None]
+    if len(rets) >= 12:
+        row.annual_return, row.annual_risk, row.sharpe = dataclasses.astuple(summarize(rets))
     return row
 
 
@@ -551,6 +621,45 @@ def test_sweep_rows_are_bit_identical_to_one_backtest_per_setting(solver, window
     # repr is exact for floats and spells NaN the same on both sides
     assert [repr(dataclasses.astuple(r)) for r in rows] == [repr(dataclasses.astuple(r)) for r in want]
     assert [r.error is None for r in rows] == [not zero_vol or r.weighting == "ew" for r in rows]
+
+
+@pytest.mark.parametrize("weighting", ["ew", "ivw"])
+@pytest.mark.parametrize("setup", [
+    {"solver": "greedy", "lookback_days": 126},
+    {"solver": "exact", "lookback_months": 6, "cost_rate": 0.5},
+    {"solver": "sb", "restarts": 2, "lookback_days": 126, "cost_rate": 0.0},
+], ids=["greedy", "exact", "sb"])
+def test_backtest_records_match_the_reference_loop(weighting, setup):
+    # every field of every month record, weights included, as the dict accounting gives it
+    panel = synth_panel(8, 400, 2, seed=3)
+    config = BacktestConfig(theta=0.2, weighting=weighting, seed=5, **setup)
+    got = run_backtest(panel, config).months
+    assert repr(got) == repr(ref_backtest_months(panel, config))
+
+
+def test_sweep_counts_each_rows_held_months(monkeypatch, tmp_path):
+    import misfolio.backtest as bt
+    from misfolio.mis_qubo import NO_FEASIBLE
+
+    real = bt.solve_mis
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        # one solve per theta a month: calls 3 and 5 are the first theta's months 1 and 2
+        return NO_FEASIBLE if len(calls) in (3, 5) else real(*args, **kwargs)
+
+    monkeypatch.setattr(bt, "solve_mis", flaky)
+    panel = synth_panel(8, 400, 2, seed=3)
+    config = BacktestConfig(theta=0.2, lookback_days=126, solver="greedy")
+    rows = sweep_theta(panel, config, [0.2, 0.3], ["ew", "ivw"])
+    assert [r.hold_months for r in rows] == [2, 2, 0, 0]
+    out = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, out)
+    with open(out, newline="", encoding="utf-8") as fh:
+        header, *cells = list(csv.reader(fh))
+    assert header[-2:] == ["hold_months", "error"]
+    assert [c[-2] for c in cells] == ["2", "2", "0", "0"]
 
 
 def test_sweep_computes_each_month_once_and_solves_each_theta_once(monkeypatch):
@@ -586,19 +695,21 @@ def test_sweep_holds_no_more_month_records_than_books(monkeypatch):
     from misfolio import backtest
 
     refs, seen = [], []
-    make_record, advance = backtest.MonthRecord, backtest._Book.advance
+    make_record, advance = backtest.MonthRecord, backtest._Books.advance
 
     def tracked_record(**fields):
         record = make_record(**fields)
         refs.append(weakref.ref(record))
         return record
 
-    def counting_advance(book, *args):
-        seen.append(sum(ref() is not None for ref in refs))
-        return advance(book, *args)
+    def counting_advance(books, *args):
+        # one count per live book, as each book once advanced on its own
+        live = sum(e is None for e in books.errors)
+        seen.extend([sum(ref() is not None for ref in refs)] * live)
+        return advance(books, *args)
 
     monkeypatch.setattr(backtest, "MonthRecord", tracked_record)
-    monkeypatch.setattr(backtest._Book, "advance", counting_advance)
+    monkeypatch.setattr(backtest._Books, "advance", counting_advance)
     panel = synth_panel(8, 400, 2, seed=3)
     config = BacktestConfig(theta=0.2, lookback_days=126, solver="greedy")
     rows = sweep_theta(panel, config, [0.2, 0.25, 0.3], ["ew", "ivw"])
@@ -634,7 +745,7 @@ def test_sweep_raises_programming_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bad call")
 
-    monkeypatch.setattr(backtest, "rebalance", broken)
+    monkeypatch.setattr(backtest._Books, "advance", broken)
     panel = synth_panel(6, 380, 2, seed=15)
     config = BacktestConfig(theta=0.2, lookback_days=126, solver="greedy")
     with pytest.raises(TypeError, match="bad call"):
