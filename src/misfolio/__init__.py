@@ -10,16 +10,11 @@ __version__ = "0.1.0"
 from .backtest import (
     BacktestConfig,
     BacktestReport,
-    Portfolio,
     Summary,
     difr_analysis,
-    monthly_return,
-    rebalance,
     run_backtest,
     summarize,
     sweep_theta,
-    weights_ew,
-    weights_ivw,
 )
 from .market_graph import MarketGraph, build_graph, edge_density
 from .mis_qubo import (
@@ -61,7 +56,6 @@ __all__ = [
     "MarketGraph",
     "MisSolution",
     "NO_FEASIBLE",
-    "Portfolio",
     "PricePanel",
     "QuboProblem",
     "ReturnMatrix",
@@ -76,9 +70,7 @@ __all__ = [
     "ising_energy",
     "load_prices",
     "log_returns",
-    "monthly_return",
     "qubo_to_ising",
-    "rebalance",
     "run_backtest",
     "sb_solve",
     "select_best",
@@ -91,6 +83,4 @@ __all__ = [
     "to_qubo",
     "verify",
     "volatility",
-    "weights_ew",
-    "weights_ivw",
 ]

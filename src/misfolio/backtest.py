@@ -29,8 +29,9 @@ adds left to right, as Python 3.11's ``sum()`` does, in a fixed order: the
 book value and the weight totals in panel order (a selection is ascending
 node index), the cost equation and the turnover in ticker order.  A name
 outside a book adds exact zeros, so a book's figures do not depend on the
-books beside it.  :func:`rebalance`, :func:`weights_ew` and
-:func:`weights_ivw` are the same step on one book.
+books beside it.  The step has three stages, each over ``(books,
+tickers)`` arrays: :func:`weights_ew` and :func:`weights_ivw` give the
+target weights of the books that trade, and :func:`rebalance` trades them.
 """
 
 from __future__ import annotations
@@ -103,15 +104,6 @@ class BacktestConfig:
             raise ValueError("lookback_months must be >= 1 when set")
         if not (math.isfinite(self.initial_value) and self.initial_value > 0):
             raise ValueError(f"initial_value must be finite and positive, got {self.initial_value}")
-
-
-@dataclass
-class Portfolio:
-    """Holdings after a rebalance: weights, share counts, and value."""
-
-    holdings: dict[str, float]
-    shares: dict[str, float]
-    value: float
 
 
 @dataclass
@@ -210,48 +202,31 @@ def _zero_volatility(selected: np.ndarray, vols: np.ndarray, tickers) -> dict[in
     }
 
 
-def _target_weights(selected: np.ndarray, ivw: np.ndarray, vols: np.ndarray | None) -> np.ndarray:
-    """Target weights of each non-empty ``(B, n)`` selection row, renormalized to sum 1.
-
-    Equal weights are ``1/k`` each; inverse-volatility rows (``ivw``) take
-    ``1/vol`` of their positive ``vols``, and a row whose selected
-    volatilities are all equal takes equal weights, so the two schemes
-    coincide to the last bit there.
-    """
-    raw = np.where(selected, (1.0 / np.count_nonzero(selected, axis=1))[:, None], 0.0)
-    if ivw.any():
-        lo = np.where(selected, vols, np.inf).min(axis=1)
-        hi = np.where(selected, vols, -np.inf).max(axis=1)
-        rows = ivw & (lo != hi)
-        raw[rows] = np.where(selected[rows], np.divide(1.0, vols, out=np.zeros_like(vols), where=vols > 0.0), 0.0)
+def weights_ew(selected: np.ndarray) -> np.ndarray:
+    """Equal target weights of each ``(books, tickers)`` selection row: ``1/k`` per name, renormalized to sum 1."""
+    counts = np.count_nonzero(selected, axis=1)
+    if not counts.all():
+        raise ValueError("cannot weight an empty selection")
+    raw = np.where(selected, (1.0 / counts)[:, None], 0.0)
     return raw / _row_sums(raw)[:, None]
 
 
-def weights_ew(selected) -> dict[str, float]:
-    """Equal weights, renormalized so they sum to 1."""
-    names = list(dict.fromkeys(selected))
-    if not names:
-        raise ValueError("cannot weight an empty selection")
-    row = np.ones((1, len(names)), dtype=bool)
-    return dict(zip(names, _target_weights(row, np.zeros(1, dtype=bool), None)[0].tolist()))
+def weights_ivw(selected: np.ndarray, vols: np.ndarray) -> np.ndarray:
+    """Target weights proportional to ``1/vols`` of each selection row, renormalized to sum 1.
 
-
-def weights_ivw(selected, vols: dict[str, float]) -> dict[str, float]:
-    """Weights proportional to inverse volatility, renormalized to sum 1.
-
-    All-equal volatilities give the equal weights of :func:`weights_ew`, so
-    the exact coincidence of the two schemes holds to the last bit in that
-    case.
+    ``vols`` holds one volatility per ticker.  A row whose selected
+    volatilities are all equal keeps the weights of :func:`weights_ew`, so
+    the two schemes coincide to the last bit there.
     """
-    names = list(dict.fromkeys(selected))
-    if not names:
-        raise ValueError("cannot weight an empty selection")
-    row = np.ones((1, len(names)), dtype=bool)
-    v = np.array([vols[t] for t in names], dtype=np.float64)
-    zero = _zero_volatility(row, v, names)
-    if zero:
-        raise zero[0]
-    return dict(zip(names, _target_weights(row, np.ones(1, dtype=bool), v)[0].tolist()))
+    weights = weights_ew(selected)
+    if (selected & ~(vols > 0.0)).any():
+        raise ZeroVolatilityError("a selected volatility is not positive; inverse weight undefined")
+    lo = np.where(selected, vols, np.inf).min(axis=1)
+    hi = np.where(selected, vols, -np.inf).max(axis=1)
+    rows = lo != hi
+    raw = np.where(selected[rows], np.divide(1.0, vols, out=np.zeros_like(vols), where=vols > 0.0), 0.0)
+    weights[rows] = raw / _row_sums(raw)[:, None]
+    return weights
 
 
 def _check_cost_rate(cost_rate: float) -> None:
@@ -267,7 +242,7 @@ def _mark(shares: np.ndarray, held: np.ndarray, value: np.ndarray, prices: np.nd
     return current, np.where(held.any(axis=1), _row_sums(current[:, held.any(axis=0)]), value)
 
 
-def _trade(shares, held, current, value_before, selected, weights, prices, cost_rate: float, order: np.ndarray):
+def rebalance(shares, held, current, value_before, selected, weights, prices, cost_rate: float, order: np.ndarray):
     """Trade each row from ``current`` positions to ``weights``; return (shares, turnover, cost, value).
 
     Target positions are ``w * (value_before - cost)`` and the cost is
@@ -277,6 +252,7 @@ def _trade(shares, held, current, value_before, selected, weights, prices, cost_
     position to the last bit keeps its shares (no phantom trades, no drift
     from re-dividing).
     """
+    _check_cost_rate(cost_rate)
     union = held | selected
     # a name outside every row's union adds exact zeros, which change no sum
     order = order[union.any(axis=0)[order]]
@@ -304,53 +280,6 @@ def _trade(shares, held, current, value_before, selected, weights, prices, cost_
     turnover = _row_sums(np.abs(target - current)[:, order])
     cost = cost_rate * turnover
     return shares, turnover, cost, value_before - cost
-
-
-def rebalance(
-    prev: Portfolio,
-    new_weights: dict[str, float],
-    prices: dict[str, float],
-    cost_rate: float,
-    month: str = "",
-) -> tuple[Portfolio, float, float]:
-    """Trade from ``prev`` to ``new_weights`` at ``prices``.
-
-    Returns (portfolio, turnover, cost).  Target dollar positions are
-    ``w * (value_before - cost)`` and the cost is ``cost_rate * turnover``
-    of the trades that reach them; both are solved simultaneously.
-    Names whose target matches the current position to the last bit are
-    left untouched (no phantom trades, no drift from re-dividing).  This is
-    the backtest's own array step on one book.
-    """
-    _check_cost_rate(cost_rate)
-    names = list(dict.fromkeys([*prev.shares, *new_weights]))
-    for t in names:
-        if t not in prices:
-            raise DataError(f"no price for {t} in month {month or '?'}")
-        if prices[t] <= 0:
-            raise DataError(f"non-positive price for {t} in month {month or '?'}")
-
-    shares = np.array([[prev.shares.get(t, 0.0) for t in names]], dtype=np.float64)
-    held = np.array([[t in prev.shares for t in names]])
-    selected = np.array([[t in new_weights for t in names]])
-    weights = np.array([[new_weights.get(t, 0.0) for t in names]], dtype=np.float64)
-    px = np.array([prices[t] for t in names], dtype=np.float64)
-    order = np.array(sorted(range(len(names)), key=names.__getitem__), dtype=np.intp)
-    current, value_before = _mark(shares, held, np.array([prev.value], dtype=np.float64), px)
-    shares, turnover, cost, value = _trade(shares, held, current, value_before, selected, weights, px, cost_rate, order)
-    column = {t: k for k, t in enumerate(names)}
-    portfolio = Portfolio(
-        holdings=dict(new_weights),
-        shares={t: float(shares[0, column[t]]) for t in new_weights},
-        value=float(value[0]),
-    )
-    return portfolio, float(turnover[0]), float(cost[0])
-
-
-def monthly_return(prev_value: float, value: float) -> float:
-    if prev_value <= 0:
-        raise AccountingError(f"non-positive base value {prev_value}")
-    return value / prev_value - 1.0
 
 
 def month_end_indices(dates) -> list[int]:
@@ -394,7 +323,6 @@ def solve_mis(graph: market_graph.MarketGraph, solver: str, params: SbParams, no
 
 #: errors that stop one book (one sweep row) without stopping the others
 _SWEEP_ROW_ERRORS = (
-    DataError,
     InsufficientDataError,
     ZeroVolatilityError,
     AccountingError,
@@ -428,7 +356,7 @@ class _Books:
         n_tickers = len(tickers)
         self.configs = configs
         self.tickers = tickers
-        # the cost equation sums in ticker order, as one book's sorted names did
+        # the cost equation sums in ticker order, as a one-book sum over sorted names does
         self.order = np.array(sorted(range(n_tickers), key=tickers.__getitem__), dtype=np.intp)
         self.cost_rate = configs[0].cost_rate
         self.ivw = np.array([c.weighting == "ivw" for c in configs])
@@ -459,8 +387,11 @@ class _Books:
         turnover, cost = np.zeros(len(live)), np.zeros(len(live))
         rows = np.flatnonzero(traded)
         if len(rows):
-            weights = _target_weights(selected[rows], self.ivw[rows], vols)
-            self.shares[rows], turnover[rows], cost[rows], value[rows] = _trade(
+            weights = weights_ew(selected[rows])
+            ivw = self.ivw[rows]
+            if ivw.any():
+                weights[ivw] = weights_ivw(selected[rows[ivw]], vols)
+            self.shares[rows], turnover[rows], cost[rows], value[rows] = rebalance(
                 self.shares[rows], self.held[rows], current[rows], value[rows],
                 selected[rows], weights, prices, self.cost_rate, self.order,
             )
@@ -606,7 +537,8 @@ SWEEP_COLUMNS = [f.name for f in dataclasses.fields(SweepRow) if f.name != "erro
 
 
 def default_theta_grid(lo: float = 0.18, hi: float = 0.36, step: float = 0.01) -> list[float]:
-    count = int(round((hi - lo) / step)) + 1
+    """``lo``, ``lo + step``, ... up to ``hi``, never past it; the slack absorbs rounding in ``(hi - lo) / step``."""
+    count = math.floor((hi - lo) / step + 1e-9) + 1
     return [round(lo + k * step, 10) for k in range(count)]
 
 

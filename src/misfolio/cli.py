@@ -78,6 +78,17 @@ def _subset_of(choices):
     return parse
 
 
+def _seed(text: str) -> int:
+    """argparse type: an int in [0, 2**64), the seeds the 64-bit stream derivations tell apart; else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # rejected below
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
+    return value
+
+
 _theta = _number_in(lambda v: -1.0 <= v <= 1.0, "[-1, 1]")
 _cost_bps = _number_in(lambda v: 0.0 <= v < 10_000.0, "[0, 10000)")
 
@@ -88,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="correlation-diversified portfolios from maximum independent sets",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+    parser.add_argument("--seed", type=_seed, default=0, help="base RNG seed in [0, 2**64) (default 0)")
     parser.add_argument("--log-level", choices=sorted(_LOG_LEVELS), default="info")
     sub = parser.add_subparsers(dest="command", required=True)
 

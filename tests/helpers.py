@@ -1,18 +1,17 @@
 """Shared test utilities: small graph builders, brute-force and reference oracles, the QUBO cost and a bSB stepper."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from misfolio import market_graph, timeseries
 from misfolio.backtest import (
-    DataError,
+    AccountingError,
     InsufficientDataError,
     MonthRecord,
-    Portfolio,
     ZeroVolatilityError,
-    _check_cost_rate,
     derive_seed,
     month_end_indices,
-    monthly_return,
     solve_mis,
 )
 from misfolio.market_graph import MarketGraph, graph_from_edges
@@ -179,6 +178,21 @@ def sb_stepper(problem, params, x: np.ndarray, p: np.ndarray, split: bool = Fals
 # --- dict references: the per-book accounting the backtest's array step replaced
 
 
+@dataclass
+class Portfolio:
+    """One book after a rebalance: target weights, share counts, and value."""
+
+    holdings: dict[str, float]
+    shares: dict[str, float]
+    value: float
+
+
+def ref_monthly_return(prev_value: float, value: float) -> float:
+    if prev_value <= 0:
+        raise AccountingError(f"non-positive base value {prev_value}")
+    return value / prev_value - 1.0
+
+
 def ref_weights_ew(selected) -> dict[str, float]:
     names = list(selected)
     if not names:
@@ -203,16 +217,9 @@ def ref_weights_ivw(selected, vols: dict[str, float]) -> dict[str, float]:
     return {t: v / total for t, v in raw.items()}
 
 
-def ref_rebalance(prev: Portfolio, new_weights: dict[str, float], prices: dict[str, float], cost_rate: float,
-                  month: str = "") -> tuple[Portfolio, float, float]:
+def ref_rebalance(prev: Portfolio, new_weights: dict[str, float], prices: dict[str, float],
+                  cost_rate: float) -> tuple[Portfolio, float, float]:
     """One book's trade, name by name in dicts: Newton on the cost equation over the sorted names."""
-    _check_cost_rate(cost_rate)
-    for t in set(prev.shares) | set(new_weights):
-        if t not in prices:
-            raise DataError(f"no price for {t} in month {month or '?'}")
-        if prices[t] <= 0:
-            raise DataError(f"non-positive price for {t} in month {month or '?'}")
-
     current = {t: s * prices[t] for t, s in prev.shares.items()}
     value_before = sum(current.values()) if prev.shares else prev.value
     names = sorted(set(current) | set(new_weights))
@@ -275,10 +282,10 @@ def ref_backtest_months(panel, config) -> list[MonthRecord]:
             else:
                 vols = timeseries.volatility(window, window_days)
                 weights = ref_weights_ivw(names, {panel.tickers[i]: float(vols[i]) for i in selection.selected})
-            portfolio, turnover, cost = ref_rebalance(portfolio, weights, prices, config.cost_rate, panel.dates[di])
+            portfolio, turnover, cost = ref_rebalance(portfolio, weights, prices, config.cost_rate)
         months.append(MonthRecord(
             date=panel.dates[di],
-            ret=monthly_return(prev_value, portfolio.value) if mi else None,
+            ret=ref_monthly_return(prev_value, portfolio.value) if mi else None,
             edge_density=density,
             turnover=turnover,
             cost=cost,

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import er_graph, ref_backtest_months, ref_rebalance, ref_weights_ew, ref_weights_ivw
+from helpers import (
+    Portfolio,
+    er_graph,
+    ref_backtest_months,
+    ref_monthly_return,
+    ref_rebalance,
+    ref_weights_ew,
+    ref_weights_ivw,
+)
 from misfolio.backtest import (
     _SWEEP_ROW_ERRORS,
     _Books,
@@ -20,14 +28,13 @@ from misfolio.backtest import (
     SweepRow,
     BacktestConfig,
     DataError,
-    Portfolio,
     ZeroVolatilityError,
     cap_weights,
+    default_theta_grid,
     derive_seed,
     difr_analysis,
     load_caps_csv,
     month_end_indices,
-    monthly_return,
     monthly_stock_returns,
     rebalance,
     run_backtest,
@@ -77,85 +84,116 @@ def equal_vol_panel(n_days=340, v=0.01):
 
 # --- weighting ---------------------------------------------------------------
 
+def rows(*selections):
+    """A ``(books, tickers)`` selection mask, one row per string of 0s and 1s."""
+    return np.array([[c == "1" for c in row] for row in selections])
+
+
 def test_weights_ew_examples():
-    assert weights_ew(["A", "B", "C", "D"]) == {"A": 0.25, "B": 0.25, "C": 0.25, "D": 0.25}
-    assert weights_ew(["A"]) == {"A": 1.0}
-    w3 = weights_ew(["A", "B", "C"])
-    assert sum(w3.values()) == pytest.approx(1.0, abs=1e-9)
+    w = weights_ew(rows("1111", "1000", "1110"))
+    assert w[0].tolist() == [0.25, 0.25, 0.25, 0.25]
+    assert w[1].tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert w[2, 3] == 0.0 and sum(w[2].tolist()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_weights_ew_empty_rejected():
-    with pytest.raises(ValueError):
-        weights_ew([])
+    for selected in (rows("0000"), rows("0110", "0000")):
+        with pytest.raises(ValueError, match="empty selection"):
+            weights_ew(selected)
 
 
 def test_weights_ivw_examples():
-    w = weights_ivw(["A", "B"], {"A": 0.1, "B": 0.2})
-    assert w["A"] == pytest.approx(2 / 3, abs=1e-15)
-    assert w["B"] == pytest.approx(1 / 3, abs=1e-15)
-    w = weights_ivw(["A", "B", "C"], {"A": 0.1, "B": 0.1, "C": 0.05})
-    assert w == pytest.approx({"A": 0.25, "B": 0.25, "C": 0.5})
+    # one volatility per ticker, shared by every row
+    w = weights_ivw(rows("1100", "1011"), np.array([0.1, 0.2, 0.1, 0.05]))
+    assert w[0, 0] == pytest.approx(2 / 3, abs=1e-15)
+    assert w[0, 1] == pytest.approx(1 / 3, abs=1e-15)
+    assert w[0, 2:].tolist() == [0.0, 0.0]
+    assert w[1].tolist() == pytest.approx([0.25, 0.0, 0.25, 0.5])
 
 
 def test_weights_ivw_equal_vols_match_equal_weight():
-    vols = {t: 0.037 for t in "ABCD"}
-    assert weights_ivw(list("ABCD"), vols) == weights_ew(list("ABCD"))
+    # equal over each row's selection, whatever the names outside it hold
+    selected = rows("11110", "01101")
+    vols = np.array([0.037, 0.037, 0.037, 0.037, 0.5])
+    vols_outside = np.array([0.037, 0.037, 0.037, 0.9, 0.037])
+    assert weights_ivw(selected[:1], vols).tolist() == weights_ew(selected[:1]).tolist()
+    assert weights_ivw(selected[1:], vols_outside).tolist() == weights_ew(selected[1:]).tolist()
 
 
 def test_weights_ivw_zero_vol_names_ticker():
-    with pytest.raises(ZeroVolatilityError, match="B"):
-        weights_ivw(["A", "B"], {"A": 0.1, "B": 0.0})
+    vols = np.array([0.1, 0.0])
+    with pytest.raises(ZeroVolatilityError):
+        weights_ivw(rows("11"), vols)
+    # a zero volatility outside the selection weighs nothing
+    assert weights_ivw(rows("10"), vols).tolist() == [[1.0, 0.0]]
+    # in the backtest the error names the ticker and stops only its ivw book
+    configs = [BacktestConfig(theta=0.2, weighting=w) for w in ("ivw", "ew")]
+    books = _Books(configs, ("A", "B"))
+    live, *_ = books.advance(True, rows("11", "11"), vols, np.array([1.0, 2.0]))
+    assert live.tolist() == [False, True]
+    assert isinstance(books.errors[0], ZeroVolatilityError) and "volatility of B is zero" in str(books.errors[0])
+    assert books.errors[1] is None
 
 
 # --- rebalance accounting -----------------------------------------------------
 
+def trade_one(shares, weights, prices, cost_rate):
+    """One book through :func:`rebalance`; return its (shares, turnover, cost, value).
+
+    ``shares``, ``weights`` and ``prices`` run over the same columns, in
+    ticker order.  The book's value before the trade is its positions at
+    ``prices``.
+    """
+    shares, weights = np.array([shares], dtype=np.float64), np.array([weights], dtype=np.float64)
+    prices = np.array(prices, dtype=np.float64)
+    held, current = shares != 0.0, shares * prices
+    value_before = np.array([sum(current[0].tolist())])
+    out = rebalance(shares, held, current, value_before, weights > 0.0, weights, prices, cost_rate,
+                    np.arange(prices.size))
+    return out[0][0], float(out[1][0]), float(out[2][0]), float(out[3][0])
+
+
 def test_rebalance_no_trade_when_weights_match():
-    prev = Portfolio(holdings={"A": 0.5, "B": 0.5}, shares={"A": 2.0, "B": 1.0}, value=100.0)
-    prices = {"A": 25.0, "B": 50.0}  # both positions worth exactly 50
-    out, turnover, cost = rebalance(prev, {"A": 0.5, "B": 0.5}, prices, 0.001)
+    # both positions worth exactly 50
+    shares, turnover, cost, value = trade_one([2.0, 1.0], [0.5, 0.5], [25.0, 50.0], 0.001)
     assert turnover == 0.0 and cost == 0.0
-    assert out.shares == prev.shares
-    assert out.value == 100.0
+    assert shares.tolist() == [2.0, 1.0]
+    assert value == 100.0
 
 
 def test_rebalance_full_liquidation_costs_about_two_legs():
-    prev = Portfolio(holdings={"A": 1.0}, shares={"A": 1.0}, value=100.0)
-    out, turnover, cost = rebalance(prev, {"B": 1.0}, {"A": 100.0, "B": 10.0}, 0.001)
+    shares, turnover, cost, value = trade_one([1.0, 0.0], [0.0, 1.0], [100.0, 10.0], 0.001)
     # sell 100 plus buy the re-invested remainder; self-consistent solution
     # of c = 0.001 * (100 + (100 - c)) is c = 0.2 / 1.001
     assert cost == pytest.approx(0.2 / 1.001, rel=1e-12)
     assert turnover == pytest.approx(cost / 0.001, rel=1e-12)
-    assert out.value == pytest.approx(100.0 - cost, rel=1e-12)
-    assert out.shares["B"] == pytest.approx(out.value / 10.0, rel=1e-12)
+    assert value == pytest.approx(100.0 - cost, rel=1e-12)
+    assert shares[0] == 0.0
+    assert shares[1] == pytest.approx(value / 10.0, rel=1e-12)
 
 
 def test_rebalance_identity_value_after_equals_before_minus_cost():
+    # T0-T5 held, T3-T7 targeted, T8 priced only
     rng = np.random.default_rng(3)
-    prev = Portfolio(
-        holdings={},
-        shares={f"T{i}": float(s) for i, s in enumerate(rng.uniform(1, 5, 6))},
-        value=0.0,
-    )
-    prices = {f"T{i}": float(p) for i, p in enumerate(rng.uniform(10, 200, 9))}
+    held = np.concatenate([rng.uniform(1, 5, 6), np.zeros(3)])
+    prices = rng.uniform(10, 200, 9)
     raw = rng.uniform(0.1, 1, 5)
-    weights = {f"T{i + 3}": float(w / raw.sum()) for i, w in enumerate(raw)}
-    value_before = sum(s * prices[t] for t, s in prev.shares.items())
-    out, turnover, cost = rebalance(prev, weights, prices, 0.0015)
+    weights = np.concatenate([np.zeros(3), raw / raw.sum(), np.zeros(1)])
+    value_before = sum((held * prices).tolist())
+    shares, turnover, cost, value = trade_one(held, weights, prices, 0.0015)
     assert cost == 0.0015 * turnover
-    assert out.value == pytest.approx(value_before - cost, rel=1e-12)
-    held = sum(s * prices[t] for t, s in out.shares.items())
-    assert held == pytest.approx(out.value, rel=1e-9)
+    assert value == pytest.approx(value_before - cost, rel=1e-12)
+    assert float(shares @ prices) == pytest.approx(value, rel=1e-9)
 
 
 @pytest.mark.parametrize("cost_rate", [0.0, 0.001, 0.5, 0.9, 0.99, 0.999])
 def test_rebalance_accounting_holds_up_to_high_cost_rates(cost_rate):
     # sell A and B, buy C: the post-cost value is 2 (1 - r) / (1 + r)
-    prev = Portfolio(holdings={"A": 0.5, "B": 0.5}, shares={"A": 1.0, "B": 1.0}, value=2.0)
-    out, turnover, cost = rebalance(prev, {"C": 1.0}, {"A": 1.0, "B": 1.0, "C": 1.0}, cost_rate)
-    held = sum(s * 1.0 for s in out.shares.values())
-    assert out.value > 0
-    assert held == pytest.approx(out.value, rel=1e-12)
-    assert out.value == pytest.approx(2 * (1 - cost_rate) / (1 + cost_rate), rel=1e-12)
+    shares, turnover, cost, value = trade_one([1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], cost_rate)
+    assert value > 0
+    assert shares.tolist()[:2] == [0.0, 0.0]
+    assert shares[2] == pytest.approx(value, rel=1e-12)  # at a price of 1
+    assert value == pytest.approx(2 * (1 - cost_rate) / (1 + cost_rate), rel=1e-12)
     assert cost == cost_rate * turnover
 
 
@@ -200,12 +238,13 @@ def test_array_step_matches_the_dict_reference_bit_for_bit(data):
                     weights = ref_weights_ivw(names, vol_of) if ivw[b] else ref_weights_ew(names)
                 except ZeroVolatilityError as exc:
                     errors[b] = exc
+                    with pytest.raises(ZeroVolatilityError):
+                        weights_ivw(selected[b : b + 1], vols)
                     assert not live[b] and str(books.errors[b]) == str(exc)
                     continue
-                assert weights == (weights_ivw(names, vol_of) if ivw[b] else weights_ew(names))
+                row = weights_ivw(selected[b : b + 1], vols) if ivw[b] else weights_ew(selected[b : b + 1])
+                assert repr(row[0].tolist()) == repr([weights.get(t, 0.0) for t in tickers])
                 refs[b], want_turnover, want_cost = ref_rebalance(ref, weights, price, cost_rate)
-                one = rebalance(ref, weights, price, cost_rate)
-                assert repr(one) == repr((refs[b], want_turnover, want_cost))
             else:
                 holds[b] += 1
                 want_turnover = want_cost = 0.0
@@ -222,15 +261,14 @@ def test_array_step_matches_the_dict_reference_bit_for_bit(data):
             assert live[b] and books.errors[b] is None
             assert (ret is None) == (month == 0)
             if ret is not None:
-                assert repr(float(ret[b])) == repr(monthly_return(prev_value, ref.value))
+                assert repr(float(ret[b])) == repr(ref_monthly_return(prev_value, ref.value))
     assert books.hold_months.tolist() == holds
 
 
 @pytest.mark.parametrize("cost_rate", [-0.001, 1.0, 2.0])
 def test_rebalance_rejects_cost_rate_outside_unit_interval(cost_rate):
-    prev = Portfolio(holdings={"A": 1.0}, shares={"A": 1.0}, value=100.0)
     with pytest.raises(ValueError, match="cost_rate"):
-        rebalance(prev, {"B": 1.0}, {"A": 100.0, "B": 10.0}, cost_rate)
+        trade_one([1.0, 0.0], [0.0, 1.0], [100.0, 10.0], cost_rate)
 
 
 @pytest.mark.parametrize("cost_rate", [-0.001, 1.0, 2.0])
@@ -285,18 +323,21 @@ def test_solve_mis_rejects_an_unknown_solver():
         solve_mis(er_graph(5, 0.5, seed=0), "annealer", SbParams(), node_limit=5)
 
 
-def test_rebalance_missing_price_names_ticker_and_month():
-    prev = Portfolio(holdings={}, shares={"A": 1.0}, value=0.0)
-    with pytest.raises(DataError, match="A.*2020-03"):
-        rebalance(prev, {"A": 1.0}, {"B": 5.0}, 0.001, month="2020-03-31")
-
-
-def test_monthly_return_examples():
-    assert monthly_return(100.0, 105.0) == pytest.approx(0.05)
-    assert monthly_return(100.0, 100.0) == 0.0
-    assert monthly_return(100.0, 90.0) == pytest.approx(-0.10)
-    with pytest.raises(AccountingError):
-        monthly_return(0.0, 10.0)
+def test_books_zero_base_value_stops_only_that_book():
+    # four cost-free books of 100 hold A, A, B and C; the second one's base value is zeroed
+    configs = [BacktestConfig(theta=0.2, cost_rate=0.0, initial_value=100.0) for _ in range(4)]
+    books = _Books(configs, ("A", "B", "C"))
+    selected = rows("100", "100", "010", "001")
+    books.advance(True, selected, None, np.array([10.0, 20.0, 50.0]))
+    books.value[1] = 0.0
+    live, ret, *_ = books.advance(False, selected, None, np.array([10.5, 18.0, 50.0]))
+    assert live.tolist() == [True, False, True, True]
+    assert isinstance(books.errors[1], AccountingError) and str(books.errors[1]) == "non-positive base value 0.0"
+    assert [books.errors[b] for b in (0, 2, 3)] == [None, None, None]
+    assert math.isnan(ret[1])
+    assert ret[0] == pytest.approx(0.05) and ret[2] == pytest.approx(-0.10) and ret[3] == 0.0
+    live, *_ = books.advance(False, selected, None, np.array([10.5, 18.0, 50.0]))
+    assert live.tolist() == [True, False, True, True]
 
 
 def test_month_end_indices():
@@ -575,6 +616,21 @@ def test_sweep_weightings_of_a_theta_share_graph_and_selection_statistics():
         assert [getattr(ew, c) for c in shared] == [getattr(ivw, c) for c in shared]
 
 
+@pytest.mark.parametrize("lo, hi, step", [
+    (0.18, 0.36, 0.01), (0.18, 0.36, 0.05), (0.18, 0.36, 0.07), (0.2, 0.3, 0.04), (0.1, 0.4, 0.1), (0.5, 1.0, 0.3),
+])
+def test_theta_grid_never_passes_its_upper_end(lo, hi, step):
+    grid = default_theta_grid(lo, hi, step)
+    assert grid == [round(lo + k * step, 10) for k in range(len(grid))]
+    assert grid[-1] <= hi < round(lo + len(grid) * step, 10)
+
+
+def test_theta_grid_defaults_are_unchanged():
+    assert default_theta_grid() == [round(0.18 + k * 0.01, 10) for k in range(19)]
+    assert default_theta_grid(0.2, 0.3, 0.04) == [0.2, 0.24, 0.28]
+    assert default_theta_grid(0.1, 0.4, 0.1) == [0.1, 0.2, 0.3, 0.4]
+
+
 def with_flat_ticker(panel, price=50.0):
     """``panel`` plus one constant-price ticker: zero volatility, isolated in every graph."""
     prices = np.column_stack([panel.prices, np.full(panel.n_dates, price)])
@@ -687,6 +743,46 @@ def test_sweep_computes_each_month_once_and_solves_each_theta_once(monkeypatch):
     assert calls["correlation"] == n_months
     assert 0 < calls["volatility"] <= n_months
     assert calls["solve_mis"] == 3 * n_months
+
+
+def test_sweep_steps_every_book_through_the_three_stage_functions(monkeypatch):
+    # the stages are looked up as module attributes, where a tracer wraps them:
+    # one rebalance per month in which a book trades, none in a month all books hold
+    import misfolio.backtest as bt
+    from misfolio.mis_qubo import NO_FEASIBLE
+
+    panel = synth_panel(8, 400, 2, seed=3)
+    config = BacktestConfig(theta=0.2, lookback_days=126, solver="greedy")
+    real_solve = bt.solve_mis
+    solves = []
+
+    def holding_month_one(*args, **kwargs):
+        solves.append(None)
+        # one solve per theta a month: calls 3 and 4 are month 1
+        return NO_FEASIBLE if len(solves) in (3, 4) else real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(bt, "solve_mis", holding_month_one)
+    want = sweep_theta(panel, config, [0.2, 0.3], ["ew", "ivw"])
+    n_months = len(solves) // 2
+    solves.clear()
+    calls = {"weights_ew": 0, "weights_ivw": 0, "rebalance": 0}
+
+    def counting(name):
+        real = getattr(bt, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bt, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    rows = sweep_theta(panel, config, [0.2, 0.3], ["ew", "ivw"])
+    assert [r.hold_months for r in rows] == [1, 1, 1, 1]
+    # every trading book starts from weights_ew, and weights_ivw starts from it too
+    assert calls == {"weights_ew": 2 * (n_months - 1), "weights_ivw": n_months - 1, "rebalance": n_months - 1}
+    assert [repr(dataclasses.astuple(r)) for r in rows] == [repr(dataclasses.astuple(r)) for r in want]
 
 
 def test_sweep_holds_no_more_month_records_than_books(monkeypatch):

@@ -235,6 +235,22 @@ def test_synth_then_sweep_greedy_writes_full_grid(tmp_path):
     assert r.stdout.startswith("wrote 38 sweep rows")
 
 
+def test_sweep_theta_grid_stops_at_theta_max(tmp_path):
+    # 0.5 + 2 * 0.3 = 1.1 lies past --theta-max, and outside [-1, 1]
+    prices = synth(tmp_path, stocks=6, days=320)
+    out = tmp_path / "sweep.csv"
+    r = run_cli(
+        "sweep", "--prices", prices, "--theta-min", 0.5, "--theta-max", 1.0, "--theta-step", 0.3,
+        "--window-days", 126, "--solver", "greedy", "--out", out,
+    )
+    assert r.returncode == 0, r.stderr
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["theta"], row["weighting"]) for row in rows] == [
+        ("0.5", "ew"), ("0.5", "ivw"), ("0.8", "ew"), ("0.8", "ivw")
+    ]
+
+
 # --- bench --------------------------------------------------------------------------
 
 def test_bench_exact_has_full_relative_accuracy(tmp_path):
@@ -365,6 +381,22 @@ def test_count_and_budget_flags_out_of_range_are_usage_errors(tmp_path, capsys, 
     assert exc.value.code == 2
     assert f"argument {flag}: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
+@pytest.mark.parametrize("command", [_SYNTH, ["sweep", "--prices", "{prices}"]], ids=["synth", "sweep"])
+def test_seed_outside_64_bits_is_a_usage_error(tmp_path, capsys, command, seed):
+    # the seed derivations keep 64 bits, so seeds s and s + 2**64 would run the same streams
+    argv = [a.format(prices=synth(tmp_path, stocks=4, days=300)) for a in command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--seed", seed, *argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"argument --seed: must be an integer in [0, 2**64), got '{seed}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    synth(tmp_path, stocks=4, days=30, seed=2**64 - 1)
 
 
 @pytest.mark.parametrize(
