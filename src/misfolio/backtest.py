@@ -454,7 +454,7 @@ def _simulate(panel: PricePanel, books: _Books, group: int):
         for rows in groups:
             cfg = books.configs[rows.start]
             graph = market_graph.build_graph(corr, cfg.theta)
-            density[rows.start : rows.stop] = market_graph.edge_density(graph) if graph.n_nodes >= 2 else 0.0
+            density[rows.start : rows.stop] = market_graph.edge_density(graph)
             try:
                 params = SbParams(restarts=cfg.restarts, seed=derive_seed(cfg.seed, mi))
                 selection = solve_mis(graph, cfg.solver, params, cfg.node_limit)
@@ -536,9 +536,19 @@ class SweepRow:
 SWEEP_COLUMNS = [f.name for f in dataclasses.fields(SweepRow) if f.name != "error"]
 
 
+#: most thetas one grid may hold: a 0.001 step over all of [-1, 1]
+MAX_THETAS = 2001
+
+
 def default_theta_grid(lo: float = 0.18, hi: float = 0.36, step: float = 0.01) -> list[float]:
-    """``lo``, ``lo + step``, ... up to ``hi``, never past it; the slack absorbs rounding in ``(hi - lo) / step``."""
-    count = math.floor((hi - lo) / step + 1e-9) + 1
+    """``lo``, ``lo + step``, ... up to ``hi``, never past it; the slack absorbs rounding in ``(hi - lo) / step``.
+
+    More than ``MAX_THETAS`` thetas raise ValueError: a sweep allocates books for every theta at once.
+    """
+    steps = (hi - lo) / step + 1e-9
+    if not steps < MAX_THETAS:  # also an infinite or NaN count
+        raise ValueError(f"a theta step of {step!r} from {lo!r} to {hi!r} gives more than {MAX_THETAS} thetas")
+    count = math.floor(steps) + 1
     return [round(lo + k * step, 10) for k in range(count)]
 
 
@@ -689,6 +699,12 @@ def difr_analysis(
     (YYYY-MM); a month of the period missing from either series is a range
     error.  When ``theta`` is given, the stock's average degree in the
     monthly threshold graphs is reported alongside.
+
+    Key M holds the books held *through* month M, so a :class:`MonthRecord`
+    dated at the close of M-1 goes under M; keyed by its own ``date``, each
+    month's return would meet weights chosen at that month's close, a
+    look-ahead.  Library-only: no input this package produces carries
+    capitalizations, so a CLI entry could not be run or tested end to end.
     """
     start, end = period
     dates, rets = monthly_stock_returns(panel)

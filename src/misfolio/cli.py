@@ -183,10 +183,9 @@ def cmd_build_graph(args, parser) -> int:
     corr = correlation(returns, window)
     graph = build_graph(corr, args.theta)
     write_edge_list(graph, args.out)
-    density = edge_density(graph) if graph.n_nodes >= 2 else 0.0
     print(
         f"graph: {graph.n_nodes} nodes, {graph.n_edges} edges, "
-        f"density {density:.4f} at theta={args.theta}"
+        f"density {edge_density(graph):.4f} at theta={args.theta}"
     )
     return 0
 
@@ -251,10 +250,13 @@ def cmd_backtest(args, parser) -> int:
 
 
 def cmd_sweep(args, parser) -> int:
-    panel = load_prices(_require_file(parser, args.prices))
     if args.theta_max < args.theta_min:
         parser.error("--theta-max must be >= --theta-min")
-    thetas = default_theta_grid(args.theta_min, args.theta_max, args.theta_step)
+    try:
+        thetas = default_theta_grid(args.theta_min, args.theta_max, args.theta_step)
+    except ValueError as exc:
+        parser.error(f"argument --theta-step: {exc}")
+    panel = load_prices(_require_file(parser, args.prices))
     base = _config_from_args(args, theta=thetas[0], weighting=args.weightings[0])
     rows = sweep_theta(panel, base, thetas, args.weightings)
     write_sweep_csv(rows, args.out)

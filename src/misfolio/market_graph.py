@@ -119,11 +119,9 @@ def graph_from_edges(n_nodes: int, edges, theta: float = 0.0) -> MarketGraph:
 
 
 def edge_density(graph: MarketGraph) -> float:
-    """Realized fraction of the n(n-1)/2 possible edges."""
+    """Realized fraction of the n(n-1)/2 possible edges; 0.0 below two nodes, which have none possible."""
     n = graph.n_nodes
-    if n < 2:
-        raise ValueError("edge density undefined for fewer than 2 nodes")
-    return graph.n_edges / (n * (n - 1) / 2)
+    return graph.n_edges / (n * (n - 1) / 2) if n >= 2 else 0.0
 
 
 def write_edge_list(graph: MarketGraph, path) -> None:

@@ -70,38 +70,17 @@ def _row_blocks(j: np.ndarray):
     return ((s, j[s : s + _BLOCK_ROWS]) for s in range(0, len(j), _BLOCK_ROWS))
 
 
-def _to_float32(j: np.ndarray) -> np.ndarray:
-    """``j`` as float32, without a copy when it already is, converted and
-    checked a row block at a time so no n x n temporary is made.
-
-    Raises ValueError for an entry that is not finite, lies outside
-    float32's range or is not exactly a float32.
-    """
-    out = j if j.dtype == np.float32 else np.empty(j.shape, dtype=np.float32)
-    top = np.finfo(np.float32).max
-    for s, block in _row_blocks(j):
-        if not np.isfinite(block).all():
-            raise ValueError("J, h and offset must be finite")
-        if out is j:
-            continue
-        # checked before the cast, which would overflow to inf with a warning
-        big = np.abs(block) > top
-        if big.any():
-            raise ValueError(f"J entry {block[big][0]:g} would overflow float32")
-        cast = out[s : s + len(block)]
-        cast[...] = block
-        inexact = cast != block
-        if inexact.any():
-            raise ValueError(f"J entry {float(block[inexact][0])!r} is not exactly representable in float32")
-    return out
+def _is_finite(j: np.ndarray) -> bool:
+    """``np.isfinite(j).all()`` a row block at a time, so no n x n temporary is made."""
+    return all(np.isfinite(block).all() for _, block in _row_blocks(j))
 
 
 @dataclass(frozen=True, eq=False)
 class IsingProblem:
     """Symmetric coupling matrix J (zero diagonal), bias h, energy offset; all finite.
 
-    ``J`` is stored as float32 and must hold only values float32 represents
-    exactly; ``h`` and ``offset`` are float64.
+    ``J`` must be a float32 array, the dtype the solver steps in; any other
+    dtype is rejected, so cast it first.  ``h`` and ``offset`` are float64.
     """
 
     j: np.ndarray
@@ -113,9 +92,10 @@ class IsingProblem:
         h = np.asarray(self.h, dtype=np.float64)
         if h.ndim != 1 or j.shape != (len(h), len(h)):
             raise ValueError(f"h must be a vector and J (len(h), len(h)); got shapes {h.shape} and {j.shape}")
-        if not (np.isfinite(h).all() and math.isfinite(self.offset)):
+        if j.dtype != np.float32:
+            raise ValueError(f"J must be float32, got {j.dtype}; cast it, e.g. np.asarray(J, dtype=np.float32)")
+        if not (np.isfinite(h).all() and math.isfinite(self.offset) and _is_finite(j)):
             raise ValueError("J, h and offset must be finite")
-        j = _to_float32(j)
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "h", h)
         if np.any(np.diagonal(j) != 0.0) or not _is_symmetric(j):
@@ -172,17 +152,17 @@ def qubo_to_ising(problem: QuboProblem) -> IsingProblem:
     return IsingProblem(j=j, h=h, offset=offset)
 
 
-def ising_energy(problem: IsingProblem, spins):
-    """``E(s)`` of one spin vector (a float), or of each row of an ``(R, n)``
-    stack (a float64 array), all in one pass over J in row blocks."""
-    s = np.asarray(spins, dtype=np.float64)
-    rows = np.atleast_2d(s)
+def ising_energy(problem: IsingProblem, spins) -> np.ndarray:
+    """``E(s)`` of each row of an ``(R, n)`` spin stack as a float64 array,
+    all in one pass over J in row blocks."""
+    rows = np.asarray(spins, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != problem.n_spins:
+        raise ValueError(f"spins must be an (R, {problem.n_spins}) stack; got shape {rows.shape}")
     quad = np.zeros(len(rows))
     for start, block in _row_blocks(problem.j):
         js = rows @ block.astype(np.float64).T
         quad += np.einsum("ri,ri->r", rows[:, start : start + len(block)], js)
-    energy = -0.5 * quad - rows @ problem.h
-    return float(energy[0]) if s.ndim == 1 else energy
+    return -0.5 * quad - rows @ problem.h
 
 
 def decode(spins) -> MisSolution:

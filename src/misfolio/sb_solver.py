@@ -17,7 +17,7 @@ follows from ``J`` (below); ``SbParams`` sets n_steps, restarts and seed.
 
 Precision
 ---------
-The state, ``J`` (``IsingProblem`` stores it as float32), the bias step
+The state, ``J`` (``IsingProblem`` takes it only as float32), the bias step
 and every buffer of the step are float32, the only dtype the solver
 steps in.  Apart from the element-wise stages, a step is one product
 over ``J``, and at large n that product is bound by reading ``J``, so 4
@@ -114,8 +114,8 @@ Input validation
 The walls hold every position in [-1, 1] and ``|(J x)_i| <= sqrt(n) |J|_F``,
 so one momentum kick is at most
 ``dt * (alpha0 + c0 * sqrt(n) * |J|_F) + max |bias step|``.
-``IsingProblem`` rejects non-finite values and a ``J`` entry that float32
-cannot hold exactly, and ``sb_solve`` rejects a problem whose momentum
+``IsingProblem`` takes only a float32 ``J`` and rejects non-finite
+values, and ``sb_solve`` rejects a problem whose momentum
 over ``n_steps`` kicks, whose coupling product or whose factor
 ``dt * c0`` could exceed float32's largest value.
 A run's state therefore stays finite, and no step checks it.
@@ -194,10 +194,6 @@ def _coupling_scale(n: int, squared_norm: float) -> float:
     if rms == 0.0:
         return 1.0
     return DEFAULT_COUPLING_KAPPA / (rms * math.sqrt(n))
-
-
-def default_coupling_scale(problem: IsingProblem) -> float:
-    return _coupling_scale(problem.n_spins, _squared_norm(problem.j))
 
 
 def _setup(problem: IsingProblem, params: SbParams):

@@ -31,13 +31,21 @@ DEFAULT_LOOKBACK_DAYS = 756
 #: correlation's row block: its n x n temporary becomes block-sized (measured, see CHANGES.md)
 _TILE = 256
 
+# synth_panel's factor model: daily factor and idiosyncratic volatilities,
+# the spread of the loadings, and the panel's first price and date
+FACTOR_VOL = 0.01
+IDIO_VOL = 0.012
+LOADING_SPREAD = 0.3
+START_PRICE = 100.0
+START_DATE = "2013-01-02"
+
 
 class PriceFileError(ValueError):
     """Malformed price CSV (carries row/column context in the message)."""
 
 
 class EmptyUniverseError(ValueError):
-    """No tickers survived loading."""
+    """A price panel with no tickers, built or left after loading."""
 
 
 class InsufficientDataError(ValueError):
@@ -59,6 +67,8 @@ class PricePanel:
     prices: np.ndarray
 
     def __post_init__(self):
+        if not self.tickers:
+            raise EmptyUniverseError("price panel has no tickers")
         p = np.ascontiguousarray(self.prices, dtype=np.float64)
         object.__setattr__(self, "prices", p)
         if p.shape != (len(self.dates), len(self.tickers)):
@@ -171,8 +181,6 @@ def load_prices(path) -> PricePanel:
     keep = [i for i in range(len(tickers)) if i not in reasons]
     for i, why in sorted(reasons.items()):
         logger.warning("dropping ticker %s: %s", tickers[i], why)
-    if not keep:
-        raise EmptyUniverseError(f"{path}: no tickers left after dropping incomplete columns")
 
     prices = np.asarray(rows, dtype=np.float64)[:, keep]
     return PricePanel(
@@ -269,25 +277,17 @@ def business_days(start: str, count: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-def synth_panel(
-    n_stocks: int,
-    n_days: int,
-    n_factors: int,
-    seed: int,
-    *,
-    factor_vol: float = 0.01,
-    idio_vol: float = 0.012,
-    loading_spread: float = 0.3,
-    start_price: float = 100.0,
-    start_date: str = "2013-01-02",
-) -> PricePanel:
+def synth_panel(n_stocks: int, n_days: int, n_factors: int, seed: int) -> PricePanel:
     """Deterministic synthetic price panel from a linear factor model.
 
-    Daily log returns are ``loadings @ factors + noise``; the first factor
-    is a market factor with loadings near 1, remaining factors have
-    zero-mean loadings.  Prices start at ``start_price`` and compound the
-    returns.  The generator is Philox keyed by ``seed``, so equal seeds
-    give bit-identical panels.
+    Daily log returns are ``loadings @ factors + noise``: factor returns
+    have standard deviation ``FACTOR_VOL`` and the noise ``IDIO_VOL``.  The
+    first factor is a market factor with loadings ``1 + LOADING_SPREAD * z``,
+    and the remaining factors have loadings ``LOADING_SPREAD * z``, with
+    ``z`` standard normal.  Prices start at ``START_PRICE`` on
+    ``START_DATE`` and compound the returns over business days.  The
+    generator is Philox keyed by ``seed``, so equal seeds give
+    bit-identical panels.
     """
     if n_stocks < 1 or n_days < 1:
         raise ValueError("n_stocks and n_days must be positive")
@@ -296,17 +296,17 @@ def synth_panel(
     rng = np.random.Generator(np.random.Philox(key=seed))
     loadings = np.zeros((n_stocks, n_factors))
     if n_factors > 0:
-        loadings[:, 0] = 1.0 + loading_spread * rng.standard_normal(n_stocks)
+        loadings[:, 0] = 1.0 + LOADING_SPREAD * rng.standard_normal(n_stocks)
         if n_factors > 1:
-            loadings[:, 1:] = loading_spread * rng.standard_normal((n_stocks, n_factors - 1))
-    factors = factor_vol * rng.standard_normal((n_days - 1, n_factors))
-    noise = idio_vol * rng.standard_normal((n_days - 1, n_stocks))
+            loadings[:, 1:] = LOADING_SPREAD * rng.standard_normal((n_stocks, n_factors - 1))
+    factors = FACTOR_VOL * rng.standard_normal((n_days - 1, n_factors))
+    noise = IDIO_VOL * rng.standard_normal((n_days - 1, n_stocks))
     rets = factors @ loadings.T + noise
     prices = np.empty((n_days, n_stocks))
-    prices[0] = start_price
-    prices[1:] = start_price * np.exp(np.cumsum(rets, axis=0))
+    prices[0] = START_PRICE
+    prices[1:] = START_PRICE * np.exp(np.cumsum(rets, axis=0))
     return PricePanel(
-        dates=business_days(start_date, n_days),
+        dates=business_days(START_DATE, n_days),
         tickers=tuple(f"S{i:04d}" for i in range(n_stocks)),
         prices=prices,
     )

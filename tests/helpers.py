@@ -265,7 +265,7 @@ def ref_backtest_months(panel, config) -> list[MonthRecord]:
     for mi, (di, window_days) in enumerate(windows):
         window = timeseries.ReturnMatrix(dates=returns.dates[:di], tickers=returns.tickers, values=returns.values[:di])
         graph = market_graph.build_graph(timeseries.correlation(window, window_days), config.theta)
-        density = market_graph.edge_density(graph) if graph.n_nodes >= 2 else 0.0
+        density = market_graph.edge_density(graph)
         params = SbParams(restarts=config.restarts, seed=derive_seed(config.seed, mi))
         selection = solve_mis(graph, config.solver, params, config.node_limit)
         prices = dict(zip(panel.tickers, panel.prices[di].tolist()))

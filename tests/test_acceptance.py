@@ -20,6 +20,7 @@ from misfolio.backtest import (
 )
 from misfolio.market_graph import build_graph
 from misfolio.mis_qubo import (
+    ising_energy,
     qubo_to_ising,
     solve_exact,
     solve_greedy,
@@ -47,13 +48,6 @@ def random_graphs(count, n_max, seed):
     return graphs
 
 
-def ising_energies_all(problem, spins_rows):
-    return (
-        -0.5 * np.einsum("bi,ij,bj->b", spins_rows, problem.j, spins_rows)
-        - spins_rows @ problem.h
-    )
-
-
 def test_criterion_1_qubo_ising_equivalence_exhaustive():
     t0 = time.perf_counter()
     worst = 0.0
@@ -61,7 +55,7 @@ def test_criterion_1_qubo_ising_equivalence_exhaustive():
         q = to_qubo(graph)
         p = qubo_to_ising(q)
         bits = all_bit_configs(graph.n_nodes)
-        diff = np.abs(qubo_cost_many(q, bits) - (ising_energies_all(p, 2 * bits - 1) + p.offset))
+        diff = np.abs(qubo_cost_many(q, bits) - (ising_energy(p, 2 * bits - 1) + p.offset))
         worst = max(worst, float(diff.max()))
     elapsed = time.perf_counter() - t0
     report(

@@ -22,6 +22,7 @@ from misfolio.backtest import (
     _SWEEP_ROW_ERRORS,
     _Books,
     SOLVERS,
+    MAX_THETAS,
     SWEEP_COLUMNS,
     AccountingError,
     Summary,
@@ -629,6 +630,14 @@ def test_theta_grid_defaults_are_unchanged():
     assert default_theta_grid() == [round(0.18 + k * 0.01, 10) for k in range(19)]
     assert default_theta_grid(0.2, 0.3, 0.04) == [0.2, 0.24, 0.28]
     assert default_theta_grid(0.1, 0.4, 0.1) == [0.1, 0.2, 0.3, 0.4]
+
+
+@pytest.mark.parametrize("lo, hi, step", [(-1.0, 1.0, 0.000999), (0.18, 0.36, 1e-6), (0.0, 1.0, 5e-324)])
+def test_theta_grid_longer_than_max_thetas_is_rejected(lo, hi, step):
+    # a 0.001 step over all of [-1, 1] is the longest grid; 5e-324 makes the count infinite
+    assert len(default_theta_grid(-1.0, 1.0, 0.001)) == MAX_THETAS == 2001
+    with pytest.raises(ValueError, match=f"more than {MAX_THETAS} thetas"):
+        default_theta_grid(lo, hi, step)
 
 
 def with_flat_ticker(panel, price=50.0):

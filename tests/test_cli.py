@@ -364,6 +364,8 @@ _BENCH = ["bench", "--sizes", "4", "--solvers", "greedy"]
         (["sweep", "--prices", "{prices}"], "--window-days", "-5"),
         (["sweep", "--prices", "{prices}"], "--theta-step", "0"),
         (["sweep", "--prices", "{prices}"], "--theta-step", "nan"),
+        # 180,001 thetas: rejected before any prices are read or books allocated
+        (["sweep", "--prices", "{prices}"], "--theta-step", "1e-6"),
         (["sweep", "--prices", "{prices}", "--solver", "exact"], "--node-limit", "0"),
         (["sweep", "--prices", "{prices}"], "--cost-bps", "1e4"),
         (_BENCH, "--graphs-per-size", "0"),

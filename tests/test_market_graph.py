@@ -62,9 +62,10 @@ def test_edge_density_examples():
     assert edge_density(path3) == pytest.approx(2 / 3)
 
 
-def test_edge_density_undefined_below_two_nodes():
-    with pytest.raises(ValueError):
-        edge_density(graph_from_edges(1, []))
+def test_edge_density_is_zero_below_two_nodes():
+    # no edge is possible, so none is realized
+    assert edge_density(graph_from_edges(0, [])) == 0.0
+    assert edge_density(graph_from_edges(1, [])) == 0.0
 
 
 def test_degree_examples():

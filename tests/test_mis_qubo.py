@@ -96,11 +96,6 @@ def test_violating_flip_raises_cost():
 
 # --- Ising equivalence -------------------------------------------------------
 
-def ising_energies_all(problem, spins_rows):
-    j, h = problem.j, problem.h
-    return -0.5 * np.einsum("bi,ij,bj->b", spins_rows, j, spins_rows) - spins_rows @ h
-
-
 def test_edgeless_qubo_maps_to_bias_only_ising():
     p = qubo_to_ising(to_qubo(graph_from_edges(3, [])))
     assert np.array_equal(p.j, np.zeros((3, 3)))
@@ -113,17 +108,22 @@ def test_single_bit_qubo_bias_points_up():
     p = qubo_to_ising(q)
     assert p.h[0] == 0.5  # positive bias favors s = +1
     assert p.offset == -0.5
-    for bit in (0, 1):
-        s = np.array([2 * bit - 1.0])
-        assert ising_energy(p, s) + p.offset == qubo_cost(q, [bit])
+    bits = all_bit_configs(1)
+    assert np.array_equal(ising_energy(p, 2 * bits - 1) + p.offset, qubo_cost_many(q, bits))
 
 
 def test_single_edge_equivalence_all_configurations():
     q = to_qubo(graph_from_edges(2, [(0, 1)]))
     p = qubo_to_ising(q)
-    for bits in itertools.product((0, 1), repeat=2):
-        s = 2 * np.array(bits, dtype=float) - 1
-        assert ising_energy(p, s) + p.offset == qubo_cost(q, list(bits))
+    bits = all_bit_configs(2)
+    assert np.array_equal(ising_energy(p, 2 * bits - 1) + p.offset, qubo_cost_many(q, bits))
+
+
+@pytest.mark.parametrize("spins", [[1, -1, 1], [[1, -1]], np.ones((2, 3, 1))], ids=["vector", "short-rows", "3d"])
+def test_ising_energy_takes_only_an_r_by_n_stack(spins):
+    p = qubo_to_ising(to_qubo(cycle(3)))
+    with pytest.raises(ValueError, match=r"spins must be an \(R, 3\) stack"):
+        ising_energy(p, spins)
 
 
 @given(st.integers(2, 10), st.integers(0, 2**32 - 1))
@@ -135,7 +135,7 @@ def test_equivalence_exhaustive_random_graphs(n, seed):
     bits = all_bit_configs(n)
     spins = 2 * bits - 1
     qc = qubo_cost_many(q, bits)
-    ie = ising_energies_all(p, spins) + p.offset
+    ie = ising_energy(p, spins) + p.offset
     assert np.max(np.abs(qc - ie)) == 0.0
 
 

@@ -15,7 +15,7 @@ from misfolio.sb_solver import (
     ALPHA0,
     DT,
     SbParams,
-    default_coupling_scale,
+    _setup,
     digitize,
     run_seed_key,
     sb_solve,
@@ -26,7 +26,7 @@ from misfolio.timeseries import correlation, log_returns, synth_panel
 
 
 def ising(j, h, offset=0.0):
-    j = np.asarray(j, dtype=float)
+    j = np.asarray(j, dtype=np.float32)
     h = np.asarray(h, dtype=float)
     return IsingProblem(j=j, h=h, offset=offset)
 
@@ -64,6 +64,11 @@ def test_params_validation(kwargs):
         SbParams(**kwargs)
 
 
+def coupling_scale(problem):
+    """The ``c0`` that ``sb_solve`` steps with."""
+    return _setup(problem, SbParams())[1]
+
+
 def masked_coupling_scale(problem):
     """The prescription as stated: rms over the off-diagonal entries of J, summed in float64."""
     n = problem.n_spins
@@ -75,14 +80,14 @@ def masked_coupling_scale(problem):
 def test_default_coupling_scale_prescription():
     g = er_graph(10, 0.4, seed=0)
     problem = qubo_to_ising(to_qubo(g))
-    assert default_coupling_scale(problem) == pytest.approx(masked_coupling_scale(problem))
+    assert coupling_scale(problem) == pytest.approx(masked_coupling_scale(problem))
     # MIS couplings square to 0.25 or 0, so every sum is exact
     problem = qubo_to_ising(to_qubo(er_graph(300, 0.3, seed=1)))
-    assert default_coupling_scale(problem) == masked_coupling_scale(problem)
+    assert coupling_scale(problem) == masked_coupling_scale(problem)
     problem = random_problem(300, seed=2)
-    assert default_coupling_scale(problem) == pytest.approx(masked_coupling_scale(problem), rel=1e-15)
+    assert coupling_scale(problem) == pytest.approx(masked_coupling_scale(problem), rel=1e-15)
     # degenerate case: no couplings at all
-    assert default_coupling_scale(ising(np.zeros((3, 3)), np.ones(3))) == 1.0
+    assert coupling_scale(ising(np.zeros((3, 3)), np.ones(3))) == 1.0
 
 
 # --- single-step dynamics (the step kernel on one-row states) -------------------
@@ -206,7 +211,7 @@ def reference_run(problem, params, r):
     ``X @ J`` in the solver).
     """
     x, p = initial_state(params.seed, r, problem.n_spins)
-    c0 = default_coupling_scale(problem)
+    c0 = coupling_scale(problem)
     bias_step = ((DT * c0) * problem.h).astype(np.float32)
     for k in range(params.n_steps):
         alpha_k = ALPHA0 * (k / (params.n_steps - 1))
@@ -463,6 +468,23 @@ def test_asymmetric_problem_is_rejected(j):
         ising(j, np.zeros(len(j)))
 
 
+@pytest.mark.parametrize(
+    "j, dtype",
+    [
+        (np.zeros((2, 2)), "float64"),
+        ([[0.0, 0.5], [0.5, 0.0]], "float64"),
+        (np.array([[0.0, 0.1], [0.1, 0.0]]), "float64"),
+        (np.zeros((2, 2), dtype=np.float16), "float16"),
+        (np.zeros((2, 2), dtype=np.int32), "int32"),
+    ],
+    ids=["float64", "list", "float64-inexact", "float16", "int32"],
+)
+def test_coupling_of_another_dtype_than_float32_is_rejected(j, dtype):
+    # J is never cast on the way in: the caller casts, and sees any rounding
+    with pytest.raises(ValueError, match=f"J must be float32, got {dtype}; cast it"):
+        IsingProblem(j=j, h=np.zeros(2), offset=0.0)
+
+
 def test_coupling_norm_overflow_is_rejected(monkeypatch):
     def no_step(*args):
         raise AssertionError("a step ran")
@@ -470,18 +492,9 @@ def test_coupling_norm_overflow_is_rejected(monkeypatch):
     monkeypatch.setattr(sb_solver, "_advance", no_step)
     # a bias of 1e37 kicks by dt * h = 2e36 a step, 2e39 over 1,000 steps
     assert float(np.finfo(np.float32).max) < 2e39 < float(np.finfo(np.float64).max)
-    cases = [
-        # finite in float64, but not in float32 (the first: sum(J**2) is not finite either)
-        (1e300, [0.0, 0.0], "overflow"),
-        (1e39, [0.0, 0.0], "overflow"),
-        # in range, but not exactly a float32
-        (0.1, [0.0, 0.0], "not exactly representable in float32"),
-        (0.0, [1e37, 0.0], "overflow"),
-    ]
-    for entry, h, match in cases:
-        # refused when built or before the first step; a warning would fail the test
-        with pytest.raises(ValueError, match=match):
-            sb_solve(ising([[0.0, entry], [entry, 0.0]], h), SbParams())
+    # refused before the first step; a warning would fail the test
+    with pytest.raises(ValueError, match="overflow"):
+        sb_solve(ising(np.zeros((2, 2)), [1e37, 0.0]), SbParams())
     # float32 entries 2**127 whose coupling product can reach 2**128, float32's overflow
     j = np.full((3, 3), 2.0**127)
     np.fill_diagonal(j, 0.0)
@@ -531,10 +544,10 @@ def test_mis_runs_expose_energies_and_verified_flags():
     best, runs = solve_mis_sb_runs(g, SbParams(restarts=5, seed=6))
     assert len(runs) == 5
     problem = qubo_to_ising(to_qubo(g))
+    assert [run.energy for run in runs] == ising_energy(problem, [run.spins for run in runs]).tolist()
     feasible_energies = []
     for run in runs:
         assert run.decoded.feasible in (True, False)
-        assert run.energy == ising_energy(problem, run.spins)
         if run.decoded.feasible:
             feasible_energies.append(run.energy)
             # for feasible sets, energy + offset = -reward * size

@@ -101,6 +101,12 @@ def test_load_empty_universe(tmp_path):
         load_prices(path)
 
 
+def test_panel_without_tickers_is_rejected():
+    # a backtest of it would report only cash months, each infeasible
+    with pytest.raises(EmptyUniverseError, match="no tickers"):
+        PricePanel(dates=("2020-01-01", "2020-01-02"), tickers=(), prices=np.empty((2, 0)))
+
+
 def test_write_then_load_round_trip(tmp_path):
     panel = synth_panel(4, 30, 2, seed=11)
     write_prices(panel, tmp_path / "p.csv")
@@ -324,10 +330,12 @@ def test_synth_panel_no_factors_near_zero_correlation():
 
 
 def test_synth_panel_single_dominant_factor_high_correlation():
-    panel = synth_panel(6, 1000, 1, seed=10, idio_vol=0.003, loading_spread=0.0)
-    c = correlation(log_returns(panel), 999).values
-    off = c[~np.eye(6, dtype=bool)]
-    assert off.min() > 0.8
+    # the market factor alone lifts every pair above 0.2 (minima 0.22, 0.21,
+    # 0.35 at these seeds); without it no pair reaches 0.2
+    off_diagonal = ~np.eye(6, dtype=bool)
+    for seed in (10, 11, 12):
+        one, none = (correlation(log_returns(synth_panel(6, 1000, f, seed)), 999).values[off_diagonal] for f in (1, 0))
+        assert one.min() > 0.2 and np.abs(none).max() < 0.2, seed
 
 
 def test_synth_panel_rejects_bad_counts():
