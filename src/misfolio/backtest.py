@@ -543,8 +543,10 @@ MAX_THETAS = 2001
 def default_theta_grid(lo: float = 0.18, hi: float = 0.36, step: float = 0.01) -> list[float]:
     """``lo``, ``lo + step``, ... up to ``hi``, never past it; the slack absorbs rounding in ``(hi - lo) / step``.
 
-    More than ``MAX_THETAS`` thetas raise ValueError: a sweep allocates books for every theta at once.
+    A grid of no theta or of more than ``MAX_THETAS`` raises ValueError: a sweep allocates books for each.
     """
+    if not (step > 0 and lo <= hi):
+        raise ValueError(f"a theta grid needs a positive step and lo <= hi; got lo={lo!r}, hi={hi!r}, step={step!r}")
     steps = (hi - lo) / step + 1e-9
     if not steps < MAX_THETAS:  # also an infinite or NaN count
         raise ValueError(f"a theta step of {step!r} from {lo!r} to {hi!r} gives more than {MAX_THETAS} thetas")

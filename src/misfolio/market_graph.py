@@ -21,6 +21,16 @@ from .timeseries import CorrelationMatrix
 _NOT_INTEGER_TEXT = re.compile(r"[^0-9+\- \t\n]")
 #: rows of the adjacency matrix per block that write_edge_list formats at once
 _EDGE_LIST_ROWS = 64
+#: float32 rows per block of a pass over an n x n matrix (measured, see CHANGES.md)
+_BLOCK_ROWS = 64
+
+
+def _strips(a: np.ndarray):
+    """``(a[s : s + k, s:], a[s:, s : s + k])`` down the diagonal of square ``a``, ``k`` rows holding
+    the bytes of ``_BLOCK_ROWS`` float32 rows (256 of a bool ``a``).  The pairs cover ``a``, which is
+    symmetric iff ``np.array_equal(rows.T, cols)`` for each, so no n x n temporary is made."""
+    k = _BLOCK_ROWS * 4 // a.itemsize
+    return ((a[s : s + k, s:], a[s:, s : s + k]) for s in range(0, len(a), k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +53,7 @@ class MarketGraph:
                 f"adjacency_matrix must be a ({n}, {n}) bool array, one row per ticker; "
                 f"got dtype {a.dtype}, shape {a.shape}"
             )
-        if a.diagonal().any() or not np.array_equal(a, a.T):
+        if a.diagonal().any() or not all(np.array_equal(rows.T, cols) for rows, cols in _strips(a)):
             raise ValueError("adjacency_matrix must be symmetric with a zero diagonal")
         a = a.view()
         a.flags.writeable = False

@@ -28,16 +28,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .market_graph import MarketGraph
+from .market_graph import _BLOCK_ROWS, MarketGraph, _strips
 
 PENALTY = 2.0
 REWARD = 1.0
-#: rows per block of IsingProblem's checks and of the energy sums over J (measured, see CHANGES.md)
-_BLOCK_ROWS = 64
 _NEVER_PICKED = np.iinfo(np.intp).max  # a picked or removed node's degree; later drops take at most n off it
 
 
@@ -57,35 +55,23 @@ class QuboProblem:
     graph: MarketGraph
 
 
-def _is_symmetric(j: np.ndarray) -> bool:
-    """``np.array_equal(j, j.T)`` in row blocks: each block of rows against
-    the matching column strip, from the diagonal on, so no n x n temporary
-    is made and ``j`` is read by column only in narrow strips."""
-    step = _BLOCK_ROWS
-    return all(np.array_equal(j[s : s + step, s:], j[s:, s : s + step].T) for s in range(0, len(j), step))
-
-
-def _row_blocks(j: np.ndarray):
-    """``(start, j[start : start + _BLOCK_ROWS])`` over the rows of ``j``."""
-    return ((s, j[s : s + _BLOCK_ROWS]) for s in range(0, len(j), _BLOCK_ROWS))
-
-
-def _is_finite(j: np.ndarray) -> bool:
-    """``np.isfinite(j).all()`` a row block at a time, so no n x n temporary is made."""
-    return all(np.isfinite(block).all() for _, block in _row_blocks(j))
-
-
 @dataclass(frozen=True, eq=False)
 class IsingProblem:
     """Symmetric coupling matrix J (zero diagonal), bias h, energy offset; all finite.
 
     ``J`` must be a float32 array, the dtype the solver steps in; any other
     dtype is rejected, so cast it first.  ``h`` and ``offset`` are float64.
+    The one home of what is known about ``J``, read twice by the constructor
+    (a strip walk, an einsum through small buffers): ``squared_norm``,
+    ``sum(J**2)`` in float64, and ``coupling_magnitude``, the ``|J_ij|``
+    every nonzero coupling shares (None when they differ or there is none).
     """
 
     j: np.ndarray
     h: np.ndarray
     offset: float
+    squared_norm: float = field(init=False, repr=False)
+    coupling_magnitude: float | None = field(init=False, repr=False)
 
     def __post_init__(self):
         j = np.asarray(self.j)
@@ -94,12 +80,26 @@ class IsingProblem:
             raise ValueError(f"h must be a vector and J (len(h), len(h)); got shapes {h.shape} and {j.shape}")
         if j.dtype != np.float32:
             raise ValueError(f"J must be float32, got {j.dtype}; cast it, e.g. np.asarray(J, dtype=np.float32)")
-        if not (np.isfinite(h).all() and math.isfinite(self.offset) and _is_finite(j)):
+        finite = bool(np.isfinite(h).all()) and math.isfinite(self.offset)
+        symmetric = not np.any(np.diagonal(j) != 0.0)
+        magnitude, mixed = 0.0, False
+        for rows, cols in _strips(j):  # the row strips cover the upper triangle, which fixes a symmetric J
+            size = np.abs(rows)
+            top = float(size.max())  # NaN or inf when the strip is not finite
+            equal = np.array_equal(rows.T, cols)  # the column strip is read whole only where this fails
+            finite = finite and math.isfinite(top) and (equal or bool(np.isfinite(cols).all()))
+            symmetric = symmetric and equal
+            if top:
+                mixed = mixed or magnitude not in (0.0, top) or np.count_nonzero(size) != np.count_nonzero(size == top)
+                magnitude = top
+        if not finite:
             raise ValueError("J, h and offset must be finite")
+        if not symmetric:
+            raise ValueError("J must be symmetric with zero diagonal")
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "h", h)
-        if np.any(np.diagonal(j) != 0.0) or not _is_symmetric(j):
-            raise ValueError("J must be symmetric with zero diagonal")
+        object.__setattr__(self, "squared_norm", float(np.einsum("ij,ij->", j, j, dtype=np.float64)))
+        object.__setattr__(self, "coupling_magnitude", magnitude if magnitude and not mixed else None)
 
     @property
     def n_spins(self) -> int:
@@ -119,6 +119,8 @@ class MisSolution:
         return len(self.selected)
 
     def to_json_dict(self, tickers) -> dict:
+        if self.feasible is None:
+            raise ValueError("cannot write an unverified solution (feasible is None); verify it first")
         return {
             "size": self.size,
             "feasible": bool(self.feasible),
@@ -159,7 +161,8 @@ def ising_energy(problem: IsingProblem, spins) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] != problem.n_spins:
         raise ValueError(f"spins must be an (R, {problem.n_spins}) stack; got shape {rows.shape}")
     quad = np.zeros(len(rows))
-    for start, block in _row_blocks(problem.j):
+    for start in range(0, problem.n_spins, _BLOCK_ROWS):
+        block = problem.j[start : start + _BLOCK_ROWS]
         js = rows @ block.astype(np.float64).T
         quad += np.einsum("ri,ri->r", rows[:, start : start + len(block)], js)
     return -0.5 * quad - rows @ problem.h
@@ -246,8 +249,10 @@ def solve_exact(graph: MarketGraph, node_limit: int = 64, time_budget: float | N
 
     Refuses graphs above ``node_limit`` (exponential worst case); raise the
     limit explicitly to go bigger, ideally together with ``time_budget``
-    (seconds), which aborts with :class:`SolveTimeout`.
+    (seconds, positive), which aborts with :class:`SolveTimeout`.
     """
+    if time_budget is not None and not time_budget > 0:  # a NaN budget would never time out
+        raise ValueError(f"time_budget must be positive seconds or None, got {time_budget!r}")
     n = graph.n_nodes
     if n > node_limit:
         raise GraphTooLargeError(

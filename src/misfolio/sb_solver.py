@@ -22,12 +22,10 @@ and every buffer of the step are float32, the only dtype the solver
 steps in.  Apart from the element-wise stages, a step is one product
 over ``J``, and at large n that product is bound by reading ``J``, so 4
 bytes per entry instead of 8 halve its traffic.  ``c0``, the overflow
-bound and the energies are float64 sums over the float32 values, taken
-a row block at a time, so no float64 copy of ``J`` is made.  On a 2-core
-Intel Xeon with OpenBLAS, ``perfbench``'s ``solve_2048`` operation (build
-and solve one 2,048-node market graph) went from a median 0.90 s with
-float64 to 0.60 s, and its peak RSS from 136.6 to 116.8 MB, with every
-seed's set sizes unchanged.
+bound and the energies are float64 sums over the float32 values, so no
+float64 copy of ``J`` is made.  Before the first step ``J`` is read only
+twice, by the ``IsingProblem`` constructor; ``c0``, the overflow bound and
+the split test (below) read its ``squared_norm`` and ``coupling_magnitude``.
 
 Coupling scale
 --------------
@@ -78,7 +76,7 @@ A column is pinned when it is at a wall in every restart, ``free`` are
 the others, and ``pinned_x`` is ``X`` with the free columns zeroed.
 ``pinned_x @ J`` is kept from step to step by adding
 ``delta[:, changed] @ J[changed]`` over the columns whose pinned value
-changed, gathering ``_GATHER_ROWS`` rows of ``J`` at a time so the scratch
+changed, gathering ``_BLOCK_ROWS`` rows of ``J`` at a time so the scratch
 memory stays small.
 
 The free set hardly moves from one step to the next (at n=2048, after
@@ -90,7 +88,7 @@ per solve, holds ``J[slots]``.  Each step a column that became pinned
 gives up its slot, the last rows in use move into the holes, and
 newly free columns take the open slots, so only the rows that changed
 are gathered.  ``X[:, free] @ J[free]`` is then one product over the
-slots, plus ``_GATHER_ROWS``-row blocks for free columns beyond the
+slots, plus ``_BLOCK_ROWS``-row blocks for free columns beyond the
 buffer.
 
 The split is exact when every nonzero entry of ``J`` is +/- the same
@@ -106,8 +104,8 @@ column order, so a restart's last bits can differ from the dense path's,
 as they can with the BLAS blocking (above); on the graphs tested the
 spins are the same.
 ``sb_solve`` splits a problem with at least ``_SPLIT_MIN_SPINS`` spins
-(the measured crossover) and such a ``J``; any other problem takes the
-dense product, unchanged.
+(the measured crossover) whose ``coupling_magnitude`` is such a power of
+two; any other problem takes the dense product, unchanged.
 
 Input validation
 ----------------
@@ -128,7 +126,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .market_graph import MarketGraph
+from .market_graph import _BLOCK_ROWS, MarketGraph
 from .mis_qubo import (
     IsingProblem,
     MisSolution,
@@ -147,8 +145,6 @@ DT = 0.2  # time step
 ALPHA0 = 1.0  # pump amplitude that alpha_k ramps up to
 #: smallest n for which the pinned/free split beats the dense product (measured, see CHANGES.md)
 _SPLIT_MIN_SPINS = 300
-#: J rows gathered at once by the split; bounds its scratch memory to this many rows
-_GATHER_ROWS = 64
 #: bytes of the split's resident J rows: 512 float32 rows at n=2048, two 2 MiB L2 caches (measured, see CHANGES.md)
 _RESIDENT_BYTES = 4 * 2**20
 
@@ -180,31 +176,17 @@ class SbRunResult:
     failed: bool = False
 
 
-def _squared_norm(j: np.ndarray) -> float:
-    """``sum(J**2)`` summed in float64; einsum casts through small buffers, so no float64 copy of J is made."""
-    return float(np.einsum("ij,ij->", j, j, dtype=np.float64))
-
-
-def _coupling_scale(n: int, squared_norm: float) -> float:
-    """``c0`` of an n-spin problem whose ``J`` has ``sum(J**2) == squared_norm``."""
-    if n < 2:
-        return 1.0
-    # J has a zero diagonal, so the sum of all squares is the off-diagonal one
-    rms = math.sqrt(squared_norm / (n * (n - 1)))
-    if rms == 0.0:
-        return 1.0
-    return DEFAULT_COUPLING_KAPPA / (rms * math.sqrt(n))
-
-
 def _setup(problem: IsingProblem, params: SbParams):
     """Per-step constants: the float32 bias increment and the coupling scale.
 
     Raises ValueError if the float32 state could overflow (module docstring).
     """
-    squared_norm = _squared_norm(problem.j)  # one pass over J serves c0 and the bound
-    c0 = _coupling_scale(problem.n_spins, squared_norm)
+    n = problem.n_spins
+    # J has a zero diagonal, so the sum of all squares is the off-diagonal one
+    rms = math.sqrt(problem.squared_norm / (n * (n - 1))) if n >= 2 else 0.0
+    c0 = DEFAULT_COUPLING_KAPPA / (rms * math.sqrt(n)) if rms else 1.0
     bias_step = (DT * c0) * problem.h
-    mm_bound = math.sqrt(problem.n_spins * squared_norm)
+    mm_bound = math.sqrt(n * problem.squared_norm)
     kick = DT * (ALPHA0 + c0 * mm_bound) + float(np.max(np.abs(bias_step), initial=0.0))
     # |p| <= 1 + n_steps * kick, and x moves by dt * p before the walls; the
     # float32 product J x and the factor dt * c0 must fit as well
@@ -257,12 +239,12 @@ class _PinnedSplit:
         gone = pinned[self.slots[: self.k]]
         k = self.k - np.count_nonzero(gone)
         # the last used rows that stay move into the holes below k, a block
-        # at a time, so the gathered copy stays _GATHER_ROWS rows; holes and
+        # at a time, so the gathered copy stays _BLOCK_ROWS rows; holes and
         # movers lie on either side of k, so no block overwrites another's source
         holes = gone[:k].nonzero()[0]
         movers = k + (~gone[k:]).nonzero()[0]
-        for start in range(0, len(holes), _GATHER_ROWS):
-            block = slice(start, start + _GATHER_ROWS)
+        for start in range(0, len(holes), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
             self.rows[holes[block]] = self.rows[movers[block]]
         self.slots[holes] = self.slots[movers]
         unslotted = ~pinned
@@ -278,24 +260,15 @@ class _PinnedSplit:
 
     def _accumulate(self, x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
         """``out += x[:, rows] @ J[rows]``, gathering the J rows in fixed-size blocks."""
-        for start in range(0, len(rows), _GATHER_ROWS):
-            block = rows[start : start + _GATHER_ROWS]
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start : start + _BLOCK_ROWS]
             out += x[:, block] @ self.j[block]
 
 
-def _split_pays(j: np.ndarray) -> bool:
-    """True when J is large enough for the split to win and it is exact on J:
-    every nonzero entry is +/- one power of two."""
-    n = len(j)
-    if n < _SPLIT_MIN_SPINS:
-        return False
-    top = max(float(np.max(j)), -float(np.min(j)))
-    # frexp is (0.5, e) exactly for 2**(e-1), and (0.0, 0) for a J of zeros
-    if math.frexp(top)[0] != 0.5:
-        return False
-    # in row blocks, so the bool temporaries stay small beside J
-    blocks = (j[start : start + _GATHER_ROWS] for start in range(0, n, _GATHER_ROWS))
-    return all(np.count_nonzero(b) == np.count_nonzero(b == top) + np.count_nonzero(b == -top) for b in blocks)
+def _split_pays(problem: IsingProblem) -> bool:
+    """True when the split wins and is exact: every nonzero coupling is +/- one power of two."""
+    m = problem.coupling_magnitude  # frexp is (0.5, e) exactly for 2**(e-1)
+    return problem.n_spins >= _SPLIT_MIN_SPINS and m is not None and math.frexp(m)[0] == 0.5
 
 
 def _advance(x, p, mm, scratch, k, j, bias_step, c0, params, split=None) -> None:
@@ -342,7 +315,7 @@ def sb_solve(problem: IsingProblem, params: SbParams) -> list[SbRunResult]:
     x = np.array([rng.uniform(-1.0, 1.0, problem.n_spins) for rng in rngs], dtype=np.float32)
     p = np.array([rng.uniform(-1.0, 1.0, problem.n_spins) for rng in rngs], dtype=np.float32)
     mm, scratch = np.empty_like(x), np.empty_like(x)
-    split = _PinnedSplit(problem.j, x.shape) if _split_pays(problem.j) else None
+    split = _PinnedSplit(problem.j, x.shape) if _split_pays(problem) else None
     for k in range(params.n_steps):
         _advance(x, p, mm, scratch, k, problem.j, bias_step, c0, params, split)
 

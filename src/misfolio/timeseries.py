@@ -117,6 +117,15 @@ class CorrelationMatrix:
     values: np.ndarray
     zero_variance: tuple[int, ...] = field(default=())
 
+    def __post_init__(self):
+        c, n = np.asarray(self.values), len(self.tickers)
+        if c.shape != (n, n):
+            raise ValueError(f"correlation values must be an ({n}, {n}) array, one row per ticker; got shape {c.shape}")
+        # a NaN pair would silently lose its edge; checked in row blocks, so no n x n temporary is made
+        if not all(np.isfinite(c[s : s + _TILE]).all() for s in range(0, n, _TILE)):
+            raise ValueError("correlation values must be finite")
+        object.__setattr__(self, "values", c)
+
 
 def load_prices(path) -> PricePanel:
     """Load a price CSV: header ``date,<ticker>,...``, ISO dates, decimal prices.

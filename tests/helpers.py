@@ -154,6 +154,32 @@ def ref_solve_exact(graph: MarketGraph) -> tuple[int, ...]:
     return tuple(ref_iter_bits(best_mask))
 
 
+# --- J scans: the separate passes over J that IsingProblem's one strip walk replaced
+
+#: J rows per block of the scans below
+REF_BLOCK_ROWS = 64
+
+
+def ref_is_finite(j: np.ndarray) -> bool:
+    """``np.isfinite(j).all()`` a row block at a time."""
+    return all(np.isfinite(j[s : s + REF_BLOCK_ROWS]).all() for s in range(0, len(j), REF_BLOCK_ROWS))
+
+
+def ref_squared_norm(j: np.ndarray) -> float:
+    """``sum(J**2)`` summed in float64 by one einsum over the whole matrix."""
+    return float(np.einsum("ij,ij->", j, j, dtype=np.float64))
+
+
+def ref_coupling_magnitude(j: np.ndarray) -> float | None:
+    """The split's scans: the largest ``|J_ij|`` from J's max and min, then
+    per row block whether every nonzero entry is + or - it; None when not,
+    or when J is all zeros."""
+    top = max(float(np.max(j, initial=0.0)), -float(np.min(j, initial=0.0)))
+    blocks = (j[s : s + REF_BLOCK_ROWS] for s in range(0, len(j), REF_BLOCK_ROWS))
+    shared = all(np.count_nonzero(b) == np.count_nonzero(b == top) + np.count_nonzero(b == -top) for b in blocks)
+    return top if top and shared else None
+
+
 def sb_stepper(problem, params, x: np.ndarray, p: np.ndarray, split: bool = False):
     """``step(k)`` runs bSB step ``k`` in place on the float32 ``(R, n)`` state (x, p).
 

@@ -640,6 +640,15 @@ def test_theta_grid_longer_than_max_thetas_is_rejected(lo, hi, step):
         default_theta_grid(lo, hi, step)
 
 
+@pytest.mark.parametrize("lo, hi, step", [
+    (0.18, 0.36, 0.0), (0.18, 0.36, -0.01), (0.18, 0.36, float("nan")), (0.36, 0.18, 0.01),
+])
+def test_theta_grid_that_would_be_empty_is_rejected(lo, hi, step):
+    # an empty grid would fail later, in sweep_theta, with an unrelated message
+    with pytest.raises(ValueError, match=rf"positive step and lo <= hi; got lo={lo!r}, hi={hi!r}, step={step!r}"):
+        default_theta_grid(lo, hi, step)
+
+
 def with_flat_ticker(panel, price=50.0):
     """``panel`` plus one constant-price ticker: zero volatility, isolated in every graph."""
     prices = np.column_stack([panel.prices, np.full(panel.n_dates, price)])

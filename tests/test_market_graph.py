@@ -143,6 +143,17 @@ def test_market_graph_rejects_malformed_matrix(matrix, tickers):
         MarketGraph(tickers=tickers, theta=0.0, adjacency_matrix=np.array(matrix))
 
 
+@pytest.mark.parametrize(
+    "row, col", [(590, 300), (300, 590), (590, 3), (590, 560)], ids=["lower", "upper", "first-strip", "last-strip"]
+)
+def test_market_graph_rejects_one_asymmetric_entry_in_a_later_strip(row, col):
+    # a bool matrix is walked 256 rows at a time, so row 590 lies in the third strip
+    a = graph_from_edges(600, [(i, (i + 7) % 600) for i in range(600)]).adjacency_matrix.copy()
+    a[row, col] = not a[row, col]
+    with pytest.raises(ValueError, match="adjacency_matrix must be symmetric with a zero diagonal"):
+        MarketGraph(tickers=tuple(map(str, range(600))), theta=0.0, adjacency_matrix=a)
+
+
 def test_edge_list_round_trip(tmp_path):
     rng = np.random.default_rng(21)
     edges = [(i, j) for i in range(8) for j in range(i + 1, 8) if rng.random() < 0.4]

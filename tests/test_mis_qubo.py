@@ -193,6 +193,14 @@ def test_decode_rejects_non_binary():
         decode([1, 0, -1])
 
 
+def test_unverified_solution_is_not_written_as_infeasible():
+    unverified = decode([1, -1, 1])
+    with pytest.raises(ValueError, match="unverified"):
+        unverified.to_json_dict(("a", "b", "c"))
+    checked = dataclasses.replace(unverified, feasible=True).to_json_dict(("a", "b", "c"))
+    assert checked == {"size": 2, "feasible": True, "nodes": [0, 2], "tickers": ["a", "c"], "source": "sb"}
+
+
 def test_verify_examples():
     path = graph_from_edges(3, [(0, 1), (1, 2)])
     assert verify(path, []) == (True, [])
@@ -256,6 +264,13 @@ def test_exact_honors_time_budget():
     g = er_graph(400, 0.5, seed=2)
     with pytest.raises(SolveTimeout):
         solve_exact(g, node_limit=400, time_budget=0.01)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), 0.0, -1.0])
+def test_exact_rejects_a_time_budget_that_is_not_positive(budget):
+    # a NaN budget would never time out, and a negative one would time out before the first node
+    with pytest.raises(ValueError, match="time_budget must be positive"):
+        solve_exact(graph_from_edges(3, [(0, 1)]), time_budget=budget)
 
 
 @pytest.mark.parametrize("n, factors", [(40, 3), (40, 10), (100, 3), (100, 10), (225, 3), (225, 10)])

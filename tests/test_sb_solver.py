@@ -4,10 +4,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import all_bit_configs, er_graph, sb_stepper
+from helpers import (
+    all_bit_configs,
+    er_graph,
+    ref_coupling_magnitude,
+    ref_is_finite,
+    ref_squared_norm,
+    sb_stepper,
+)
 from misfolio import sb_solver
 from misfolio.market_graph import build_graph, graph_from_edges
 from misfolio.mis_qubo import NO_FEASIBLE, IsingProblem, ising_energy, qubo_to_ising, solve_exact, to_qubo, verify
@@ -340,8 +347,9 @@ def test_resident_rows_overflow_release_and_reuse(monkeypatch):
 def test_sb_solve_splits_mis_problems_from_the_crossover(monkeypatch):
     graph = synth_market_graph_400()
     problem = qubo_to_ising(to_qubo(graph))
-    assert sb_solver._split_pays(problem.j)
-    assert not sb_solver._split_pays(problem.j[: sb_solver._SPLIT_MIN_SPINS - 1, : sb_solver._SPLIT_MIN_SPINS - 1])
+    assert sb_solver._split_pays(problem)
+    below = sb_solver._SPLIT_MIN_SPINS - 1
+    assert not sb_solver._split_pays(ising(problem.j[:below, :below], problem.h[:below]))
     params = SbParams(n_steps=200, restarts=4, seed=9)
     x, p = map(np.stack, zip(*(initial_state(9, r, problem.n_spins) for r in range(4))))
     step = sb_stepper(problem, params, x, p, split=True)
@@ -376,7 +384,7 @@ def test_split_needs_one_power_of_two(values, exact):
     n = sb_solver._SPLIT_MIN_SPINS
     rng = np.random.default_rng(4)
     j = np.triu(rng.choice(values, (n, n)), 1)
-    assert sb_solver._split_pays(j + j.T) is exact
+    assert sb_solver._split_pays(ising(j + j.T, np.zeros(n))) is exact
 
 
 def test_float_couplings_above_the_crossover_take_the_dense_path(monkeypatch):
@@ -410,12 +418,64 @@ def test_encoding_and_solve_allocate_no_float64_matrix_and_no_second_j():
     # J (4 MiB) and the split's resident rows (4 MiB at this n) coexist; the
     # rest of the peak, measured at 0.87 MiB, is the bSB state and the energy
     # pass's float64 row block (0.5 MiB); the slot compaction moves at most
-    # _GATHER_ROWS rows (0.25 MiB) at once.  An n x n float64 array (8 MiB), a
+    # _BLOCK_ROWS rows (0.25 MiB) at once.  An n x n float64 array (8 MiB), a
     # second copy of J (4 MiB) or an unblocked compaction (1.35 MiB over)
     # exceeds the 1 MiB allowance
     assert sb_solver._RESIDENT_BYTES == 4 * n * n
     assert peak <= 4 * n * n + sb_solver._RESIDENT_BYTES + 2**20
     assert problem.j.dtype == np.float32 and len(runs) == 10
+
+
+# --- what IsingProblem records about J ----------------------------------------------
+
+@st.composite
+def couplings(draw):
+    """A symmetric float32 J with a zero diagonal: an MIS encoding, random
+    floats, all zeros, or entries of two magnitudes (possibly equal) with
+    both signs, one magnitude per row of the upper triangle or per group of
+    64 rows, so the magnitudes differ within a strip of the walk or only
+    between strips."""
+    n = draw(st.integers(0, 200))
+    kind = draw(st.sampled_from(["mis", "random", "zeros", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "mis":
+        return qubo_to_ising(to_qubo(er_graph(n, draw(st.floats(0.0, 1.0)), seed=int(rng.integers(2**32))))).j
+    if kind == "random":
+        upper = rng.uniform(-1.0, 1.0, (n, n))
+    elif kind == "zeros":
+        upper = np.zeros((n, n))
+    else:
+        magnitudes = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75, 3.0]), min_size=2, max_size=2))
+        rows_per_magnitude = draw(st.sampled_from([1, 64]))
+        size = rng.choice(magnitudes, n // rows_per_magnitude + 1).repeat(rows_per_magnitude)[:n, None]
+        upper = size * rng.choice([-1.0, 0.0, 1.0], (n, n))
+    upper = np.triu(upper, 1).astype(np.float32)
+    return upper + upper.T
+
+
+def one_magnitude_per_strip(n=150):
+    """+/-0.5 in the first 64 rows of the upper triangle, +/-0.75 below: no strip of the walk mixes them."""
+    size = np.where(np.arange(n) < 64, 0.5, 0.75)[:, None]
+    upper = np.triu(size * np.random.default_rng(0).choice([-1.0, 0.0, 1.0], (n, n)), 1).astype(np.float32)
+    return upper + upper.T
+
+
+@given(couplings())
+@example(one_magnitude_per_strip())
+@settings(max_examples=80, deadline=None)
+def test_problem_records_the_squared_norm_and_magnitude_of_the_scans(j):
+    problem = ising(j, np.zeros(len(j)))
+    assert problem.squared_norm == ref_squared_norm(j)  # bit for bit, so c0 keeps its bits
+    assert problem.coupling_magnitude == ref_coupling_magnitude(j)
+
+
+def test_recorded_facts_are_derived_not_settable():
+    problem = ising([[0.0, -0.5], [-0.5, 0.0]], [0.0, 0.0])
+    assert (problem.squared_norm, problem.coupling_magnitude) == (0.5, 0.5)
+    with pytest.raises(TypeError):
+        IsingProblem(j=problem.j, h=problem.h, offset=0.0, squared_norm=0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.squared_norm = 1.0
 
 
 # --- input validation -------------------------------------------------------------
@@ -444,6 +504,28 @@ def test_nonfinite_problem_is_rejected(j, h, offset):
 def test_misshapen_problem_is_rejected(j, h):
     with pytest.raises(ValueError, match="h must be a vector"):
         ising(j, h)
+
+
+def non_finite_in_a_later_block(row, col, value, n=600):
+    """A symmetric J but for one non-finite entry, far from the first row block of the walk."""
+    j = random_problem(n, seed=3).j.copy()
+    j[row, col] = value
+    return j
+
+
+@pytest.mark.parametrize(
+    "j",
+    [
+        non_finite_in_a_later_block(590, 3, np.nan),
+        non_finite_in_a_later_block(3, 590, np.nan),
+        non_finite_in_a_later_block(590, 3, -np.inf),
+    ],
+    ids=["n600-lower-nan", "n600-upper-nan", "n600-lower-inf"],
+)
+def test_non_finite_entry_is_named_before_the_asymmetry_it_makes(j):
+    assert not ref_is_finite(j)
+    with pytest.raises(ValueError, match="J, h and offset must be finite"):
+        ising(j, np.zeros(len(j)))
 
 
 def asymmetric_in_a_later_block(n=600):

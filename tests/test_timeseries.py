@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from misfolio import timeseries
 from misfolio.backtest import BacktestConfig, run_backtest
 from misfolio.timeseries import (
+    CorrelationMatrix,
     EmptyUniverseError,
     InsufficientDataError,
     PriceFileError,
@@ -255,6 +256,19 @@ def test_correlation_zero_variance_column_flagged_and_zeroed():
     assert c.zero_variance == (1,)
     assert (c.values[1, :] == 0.0).all() and (c.values[:, 1] == 0.0).all()
     assert c.values[0, 0] == 1.0 and c.values[2, 2] == 1.0
+
+
+def test_correlation_matrix_rejects_a_non_finite_pair():
+    # a NaN pair fails every threshold test, so its edge would silently go missing
+    values = np.array([[1.0, np.nan, 0.5], [np.nan, 1.0, 0.5], [0.5, 0.5, 1.0]])
+    with pytest.raises(ValueError, match="correlation values must be finite"):
+        CorrelationMatrix(tickers=("a", "b", "c"), values=values)
+
+
+def test_correlation_matrix_rejects_a_shape_other_than_one_row_per_ticker():
+    message = r"correlation values must be an \(3, 3\) array, one row per ticker; got shape \(2, 2\)"
+    with pytest.raises(ValueError, match=message):
+        CorrelationMatrix(tickers=("a", "b", "c"), values=np.eye(2))
 
 
 def untiled_correlation(w):
