@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import market_graph, mis_qubo, timeseries
-from .sb_solver import SbParams, solve_mis_sb
+from .sb_solver import SbParams, check_seed, solve_mis_sb
 from .timeseries import InsufficientDataError, PricePanel
 
 MONTHS_PER_YEAR = 12
@@ -91,6 +91,7 @@ class BacktestConfig:
     initial_value: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if not -1.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [-1, 1]")
         _check_cost_rate(self.cost_rate)

@@ -1,8 +1,10 @@
 """Command-line surface: synth, build-graph, solve, backtest, sweep, bench.
 
-Exit codes: 0 success, 1 runtime/data error, 2 usage error.  Every
-subcommand is deterministic given its flags (including --seed); the only
-exception is the measured wall-clock column of ``bench``.
+Exit codes: 0 success, 1 runtime/data error, 2 usage error.  Every flag
+value is checked at parse time, before any input is read, by an instance
+of the one argparse type ``_value``.  Every subcommand is deterministic
+given its flags (including --seed); the only exception is the measured
+wall-clock column of ``bench``.
 """
 
 from __future__ import annotations
@@ -43,54 +45,40 @@ logger = logging.getLogger(__name__)
 _LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
-def _positive(kind):
-    """argparse type: a finite ``kind`` (int or float) above 0; else a usage error."""
+def _value(kind, ok, what: str):
+    """argparse type: ``kind(text)`` when ``ok`` holds for it; else the usage error "must be <what>"."""
     def parse(text: str):
-        value = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-        return value
-    parse.__name__ = kind.__name__
-    return parse
-
-
-def _number_in(within, interval: str):
-    """argparse type: a number for which ``within`` holds; else a usage error naming ``interval``."""
-    def parse(text: str) -> float:
         try:
-            value = float(text)
+            value = kind(text)
+            if ok(value):
+                return value
         except ValueError:
-            value = math.nan  # rejected below, together with NaN itself
-        if not within(value):
-            raise argparse.ArgumentTypeError(f"must be a number in {interval}, got {text!r}")
-        return value
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
     return parse
 
 
-def _subset_of(choices):
-    """argparse type: comma-separated names, each one of ``choices`` at most once; else a usage error."""
-    def parse(text: str) -> list[str]:
-        names = [s.strip() for s in text.split(",") if s.strip()]
-        # a repeated solver would count its runs twice against one set of graphs
-        if not names or len(set(names)) < len(names) or any(s not in choices for s in names):
-            raise argparse.ArgumentTypeError(f"must be a comma-separated subset of {','.join(choices)}, got {text!r}")
-        return names
-    return parse
+def _names(text: str) -> list[str]:
+    return [s.strip() for s in text.split(",") if s.strip()]
 
 
-def _seed(text: str) -> int:
-    """argparse type: an int in [0, 2**64), the seeds the 64-bit stream derivations tell apart; else a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1  # rejected below
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {text!r}")
-    return value
+def _subset(names: list[str], choices) -> bool:
+    # a repeated solver would count its runs twice against one set of graphs
+    return bool(names) and len(set(names)) == len(names) and set(names) <= set(choices)
 
 
-_theta = _number_in(lambda v: -1.0 <= v <= 1.0, "[-1, 1]")
-_cost_bps = _number_in(lambda v: 0.0 <= v < 10_000.0, "[0, 10000)")
+_solvers = _value(_names, lambda v: _subset(v, SOLVERS), "a comma-separated subset of " + ",".join(SOLVERS))
+_weightings = _value(_names, lambda v: _subset(v, WEIGHTINGS), "a comma-separated subset of " + ",".join(WEIGHTINGS))
+_count = _value(int, lambda v: v >= 1, "an integer >= 1")
+_above_zero = _value(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_theta = _value(float, lambda v: -1.0 <= v <= 1.0, "a number in [-1, 1]")
+_cost_bps = _value(float, lambda v: 0.0 <= v < 10_000.0, "a number in [0, 10000)")
+# the seed derivations keep 64 bits, so seeds s and s + 2**64 would run the same streams
+_seed = _value(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
+_factors = _value(int, lambda v: v >= 0, "an integer >= 0")
+_sizes = _value(lambda text: [int(s) for s in _names(text)], lambda v: v and min(v) >= 2,
+                "comma-separated integers >= 2")
+_input_file = _value(str, os.path.isfile, "an existing file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,22 +92,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="write a synthetic price CSV")
-    p.add_argument("--stocks", type=_positive(int), required=True)
-    p.add_argument("--days", type=_positive(int), required=True)
-    p.add_argument("--factors", type=int, default=3)
+    p.add_argument("--stocks", type=_count, required=True)
+    p.add_argument("--days", type=_count, required=True)
+    p.add_argument("--factors", type=_factors, default=3)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("build-graph", help="threshold graph from a price CSV")
-    p.add_argument("--prices", required=True)
+    p.add_argument("--prices", type=_input_file, required=True)
     p.add_argument("--theta", type=_theta, required=True)
-    p.add_argument("--window-days", type=_positive(int), default=None, help="default: all available returns")
+    p.add_argument("--window-days", type=_count, default=None, help="default: all available returns")
     p.add_argument("--out", required=True, help="edge-list output path")
 
     p = sub.add_parser("solve", help="solve MIS on an edge-list graph")
-    p.add_argument("--graph", required=True)
+    p.add_argument("--graph", type=_input_file, required=True)
     p.add_argument("--solver", choices=SOLVERS, default=BacktestConfig.solver)
-    p.add_argument("--restarts", type=_positive(int), default=BacktestConfig.restarts)
-    p.add_argument("--node-limit", type=_positive(int), default=BacktestConfig.node_limit,
+    p.add_argument("--restarts", type=_count, default=BacktestConfig.restarts)
+    p.add_argument("--node-limit", type=_count, default=BacktestConfig.node_limit,
                    help="exact-solver size guard")
     p.add_argument("--out", required=True, help="solution JSON output path")
 
@@ -131,45 +119,40 @@ def build_parser() -> argparse.ArgumentParser:
     _backtest_flags(p, weighting=False)
     p.add_argument("--theta-min", type=_theta, default=0.18)
     p.add_argument("--theta-max", type=_theta, default=0.36)
-    p.add_argument("--theta-step", type=_positive(float), default=0.01)
-    p.add_argument("--weightings", type=_subset_of(WEIGHTINGS), default=",".join(WEIGHTINGS),
+    p.add_argument("--theta-step", type=_above_zero, default=0.01)
+    p.add_argument("--weightings", type=_weightings, default=",".join(WEIGHTINGS),
                    help=f"comma-separated subset of {','.join(WEIGHTINGS)}")
     p.add_argument("--out", required=True, help="sweep CSV path")
 
     p = sub.add_parser("bench", help="time/accuracy comparison of the solvers")
-    p.add_argument("--sizes", required=True, help="comma-separated node counts")
-    p.add_argument("--graphs-per-size", type=_positive(int), default=10)
+    p.add_argument("--sizes", type=_sizes, required=True, help="comma-separated node counts")
+    p.add_argument("--graphs-per-size", type=_count, default=10)
     p.add_argument("--theta", type=_theta, default=0.25)
-    p.add_argument("--solvers", type=_subset_of(SOLVERS), default=",".join(SOLVERS))
-    p.add_argument("--timeout-secs", type=_positive(float), default=600.0, help="exact-solver budget per graph")
+    p.add_argument("--solvers", type=_solvers, default=",".join(SOLVERS))
+    p.add_argument("--timeout-secs", type=_above_zero, default=600.0, help="exact-solver budget per graph")
     p.add_argument("--out", required=True, help="benchmark CSV path")
     return parser
 
 
 def _backtest_flags(p: argparse.ArgumentParser, weighting: bool = True) -> None:
-    p.add_argument("--prices", required=True)
+    p.add_argument("--prices", type=_input_file, required=True)
     if weighting:
         p.add_argument("--theta", type=_theta, required=True)
         p.add_argument("--weighting", choices=WEIGHTINGS, default=BacktestConfig.weighting)
     p.add_argument("--cost-bps", type=_cost_bps, default=BacktestConfig.cost_rate * 10_000,
                    help="cost in basis points of turnover (10 = 0.1%%)")
-    p.add_argument("--window-days", type=_positive(int), default=DEFAULT_LOOKBACK_DAYS)
-    p.add_argument("--window-months", type=_positive(int), default=None,
-                   help="anchor signal windows to calendar month-ends instead of a fixed day count")
+    # no default of its own: argparse would take an explicit value equal to the
+    # default as absent and let it pass beside --window-months
+    window = p.add_mutually_exclusive_group()
+    window.add_argument("--window-days", type=_count, help=f"default {DEFAULT_LOOKBACK_DAYS}")
+    window.add_argument("--window-months", type=_count,
+                        help="anchor signal windows to calendar month-ends instead of a fixed day count")
     p.add_argument("--solver", choices=SOLVERS, default=BacktestConfig.solver)
-    p.add_argument("--restarts", type=_positive(int), default=BacktestConfig.restarts)
-    p.add_argument("--node-limit", type=_positive(int), default=BacktestConfig.node_limit)
-
-
-def _require_file(parser: argparse.ArgumentParser, path: str) -> str:
-    if not os.path.exists(path):
-        parser.error(f"input file not found: {path}")
-    return path
+    p.add_argument("--restarts", type=_count, default=BacktestConfig.restarts)
+    p.add_argument("--node-limit", type=_count, default=BacktestConfig.node_limit)
 
 
 def cmd_synth(args, parser) -> int:
-    if args.factors < 0:
-        parser.error("--factors must be >= 0")
     panel = synth_panel(args.stocks, args.days, args.factors, args.seed)
     write_prices(panel, args.out)
     print(f"wrote {panel.n_dates} x {panel.n_tickers} panel to {args.out}")
@@ -177,7 +160,7 @@ def cmd_synth(args, parser) -> int:
 
 
 def cmd_build_graph(args, parser) -> int:
-    panel = load_prices(_require_file(parser, args.prices))
+    panel = load_prices(args.prices)
     returns = log_returns(panel)
     window = args.window_days if args.window_days is not None else returns.n_rows
     corr = correlation(returns, window)
@@ -191,7 +174,7 @@ def cmd_build_graph(args, parser) -> int:
 
 
 def cmd_solve(args, parser) -> int:
-    graph = read_edge_list(_require_file(parser, args.graph))
+    graph = read_edge_list(args.graph)
     params = SbParams(restarts=args.restarts, seed=args.seed)
     if args.solver != "sb":
         solution = solve_mis(graph, args.solver, params, args.node_limit)
@@ -222,7 +205,7 @@ def _config_from_args(args, theta: float, weighting: str) -> BacktestConfig:
         theta=theta,
         weighting=weighting,
         cost_rate=args.cost_bps / 10_000.0,
-        lookback_days=args.window_days,
+        lookback_days=args.window_days or DEFAULT_LOOKBACK_DAYS,
         lookback_months=args.window_months,
         solver=args.solver,
         restarts=args.restarts,
@@ -232,7 +215,7 @@ def _config_from_args(args, theta: float, weighting: str) -> BacktestConfig:
 
 
 def cmd_backtest(args, parser) -> int:
-    panel = load_prices(_require_file(parser, args.prices))
+    panel = load_prices(args.prices)
     config = _config_from_args(args, args.theta, args.weighting)
     report = run_backtest(panel, config)
     write_report_json(report, args.out)
@@ -256,7 +239,7 @@ def cmd_sweep(args, parser) -> int:
         thetas = default_theta_grid(args.theta_min, args.theta_max, args.theta_step)
     except ValueError as exc:
         parser.error(f"argument --theta-step: {exc}")
-    panel = load_prices(_require_file(parser, args.prices))
+    panel = load_prices(args.prices)
     base = _config_from_args(args, theta=thetas[0], weighting=args.weightings[0])
     rows = sweep_theta(panel, base, thetas, args.weightings)
     write_sweep_csv(rows, args.out)
@@ -266,15 +249,8 @@ def cmd_sweep(args, parser) -> int:
 
 
 def cmd_bench(args, parser) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError:
-        parser.error("--sizes must be comma-separated integers")
-    if not sizes or any(s < 2 for s in sizes):
-        parser.error("--sizes must contain integers >= 2")
-
     rows = []
-    for n in sizes:
+    for n in args.sizes:
         results: dict[str, list[tuple[float, int | None]]] = {s: [] for s in args.solvers}
         for g in range(args.graphs_per_size):
             seed = derive_seed(args.seed, n * 10_000 + g)  # the graph's panel and its bSB restarts

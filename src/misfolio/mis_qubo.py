@@ -27,6 +27,7 @@ entries, taken a row block at a time, so no float64 copy of ``J`` is made.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -178,8 +179,11 @@ def decode(spins) -> MisSolution:
 
 
 def verify(graph: MarketGraph, selected) -> tuple[bool, list[tuple[int, int]]]:
-    """Feasibility check: no selected pair adjacent; violated edges listed."""
-    nodes = sorted(set(int(i) for i in selected))
+    """Feasibility check: no selected pair adjacent; violated edges listed.
+
+    A node id must be an integer (``operator.index``): 1.5 is not node 1.
+    """
+    nodes = sorted(set(map(operator.index, selected)))
     for i in nodes:
         if not 0 <= i < graph.n_nodes:
             raise IndexError(f"node {i} out of range [0, {graph.n_nodes})")

@@ -122,6 +122,7 @@ A run's state therefore stays finite, and no step checks it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -139,7 +140,6 @@ from .mis_qubo import (
     verify,
 )
 
-_MASK64 = (1 << 64) - 1
 DEFAULT_COUPLING_KAPPA = 1.5
 DT = 0.2  # time step
 ALPHA0 = 1.0  # pump amplitude that alpha_k ramps up to
@@ -158,6 +158,7 @@ class SbParams:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.restarts < 1:
@@ -297,9 +298,22 @@ def _advance(x, p, mm, scratch, k, j, bias_step, c0, params, split=None) -> None
     np.clip(x, -1.0, 1.0, out=x)
 
 
+def check_seed(seed) -> int:
+    """``seed`` as a Python int in [0, 2**64), the seeds the 64-bit stream derivations tell apart.
+
+    Raises ValueError outside that range. A numpy integer is taken through
+    ``operator.index``: shifted or summed as itself, it would wrap or
+    overflow in the derivations.
+    """
+    value = operator.index(seed)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return value
+
+
 def run_seed_key(seed: int, run_index: int) -> int:
     """128-bit Philox key for restart ``run_index`` of base ``seed``."""
-    return ((seed & _MASK64) << 64) | (run_index & _MASK64)
+    return (seed << 64) | run_index
 
 
 def digitize(x: np.ndarray) -> np.ndarray:

@@ -299,6 +299,19 @@ def test_config_rejects_zero_lookback_days():
         BacktestConfig(theta=0.25, lookback_days=0)
 
 
+def test_config_takes_a_numpy_seed_as_its_int_value():
+    # derive_seed overflowed on an int64 seed and wrapped a uint64 one
+    config = BacktestConfig(theta=0.25, seed=np.int64(5))
+    assert type(config.seed) is int and config == BacktestConfig(theta=0.25, seed=np.uint64(5))
+    assert derive_seed(config.seed, 0) == derive_seed(5, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_config_rejects_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed"):
+        BacktestConfig(theta=0.25, seed=seed)
+
+
 @pytest.mark.parametrize("field", ["solver", "weighting"])
 def test_config_rejects_unknown_solver_and_weighting(field):
     with pytest.raises(ValueError, match=f"unknown {field} 'annealer'"):

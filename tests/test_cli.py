@@ -1,8 +1,10 @@
+import argparse
 import csv
 import functools
 import inspect
 import itertools
 import json
+import os
 import subprocess
 import sys
 
@@ -12,7 +14,7 @@ from misfolio import cli
 from misfolio.market_graph import read_edge_list
 from misfolio.mis_qubo import verify
 from misfolio.sb_solver import SbParams
-from misfolio.timeseries import load_prices
+from misfolio.timeseries import DEFAULT_LOOKBACK_DAYS, load_prices
 
 
 def run_cli(*args, cwd=None):
@@ -372,11 +374,17 @@ _BENCH = ["bench", "--sizes", "4", "--solvers", "greedy"]
         (_BENCH, "--timeout-secs", "0"),
         (_BENCH, "--timeout-secs", "-1"),
         (_BENCH, "--timeout-secs", "inf"),
+        (_SYNTH, "--factors", "-1"),
+        (_BENCH, "--sizes", "x"),
+        (_BENCH, "--sizes", "1,5"),
+        (_BENCH, "--sizes", ","),
+        (["solve"], "--graph", "{missing}"),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else v.lstrip("-"),
 )
 def test_count_and_budget_flags_out_of_range_are_usage_errors(tmp_path, capsys, command, flag, value):
     files = {"prices": synth(tmp_path, stocks=4, days=300), "graph": write_edge_list(tmp_path, 3, [])}
+    value = value.format(missing=tmp_path / "missing.txt")
     argv = [a.format(**files) for a in command] + [flag, value, "--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -420,3 +428,56 @@ def test_theta_flags_outside_minus_one_to_one_are_usage_errors(tmp_path, capsys,
     assert exc.value.code == 2
     assert f"argument {flag}: must be a number in [-1, 1], got '{value}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, days", [(_BACKTEST, "100"), (["sweep", "--prices", "{prices}"], "252")], ids=["backtest", "sweep"]
+)
+def test_window_days_and_window_months_exclude_each_other(tmp_path, capsys, command, days):
+    # 252 is the day count's default, which argparse would not count as given had it been the flag's default
+    argv = [a.format(prices=synth(tmp_path, stocks=4, days=300)) for a in command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--window-days", days, "--window-months", "6", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --window-months: not allowed with argument --window-days" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    args = cli.build_parser().parse_args(argv + ["--out", "out"])
+    assert cli._config_from_args(args, 0.2, "ew").lookback_days == DEFAULT_LOOKBACK_DAYS
+
+
+# a valid command line for each subcommand; "p.csv" and "g.txt" are empty files
+_VALID = {
+    "synth": ["synth", "--stocks", "3", "--days", "10"],
+    "build-graph": ["build-graph", "--prices", "p.csv", "--theta", "0.2"],
+    "solve": ["solve", "--graph", "g.txt"],
+    "backtest": ["backtest", "--prices", "p.csv", "--theta", "0.2"],
+    "sweep": ["sweep", "--prices", "p.csv"],
+    "bench": ["bench", "--sizes", "4"],
+}
+
+
+def _typed_flags():
+    """(subcommand, flag) for every optional with a type; subcommand None for the top-level flags."""
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(_VALID)
+    flags = [(None, a.option_strings[0]) for a in parser._actions if a.option_strings and a.type]
+    for name, p in sub.choices.items():
+        flags += [(name, a.option_strings[0]) for a in p._actions if a.option_strings and a.type]
+    return flags
+
+
+@pytest.mark.parametrize("command, flag", _typed_flags(), ids=lambda v: v or "top")
+def test_every_typed_flag_rejects_an_invalid_value_at_parse_time(tmp_path, monkeypatch, capsys, command, flag):
+    # "nan" fails every type: no integer, no finite or in-range number, no name, no file in tmp_path
+    monkeypatch.chdir(tmp_path)
+    for name in ("p.csv", "g.txt"):
+        (tmp_path / name).touch()
+    monkeypatch.setattr(cli, "load_prices", lambda path: pytest.fail("prices read"))
+    monkeypatch.setattr(cli, "read_edge_list", lambda path: pytest.fail("graph read"))
+    argv = [flag, "nan", *_VALID["synth"]] if command is None else [*_VALID[command], flag, "nan"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", "out"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be " in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["g.txt", "p.csv"]

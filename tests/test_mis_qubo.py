@@ -209,6 +209,13 @@ def test_verify_examples():
     assert verify(path, [0, 2]) == (True, [])
 
 
+def test_verify_rejects_a_non_integer_node_id():
+    # int() would read 1.5 as node 1 and miss the edge (0, 1)
+    with pytest.raises(TypeError):
+        verify(graph_from_edges(3, [(0, 1)]), [0, 1.5])
+    assert verify(graph_from_edges(3, [(0, 1)]), np.array([0, 1])) == (False, [(0, 1)])
+
+
 def test_verify_out_of_range():
     with pytest.raises(IndexError):
         verify(graph_from_edges(2, []), [5])

@@ -71,6 +71,25 @@ def test_params_validation(kwargs):
         SbParams(**kwargs)
 
 
+def test_numpy_integer_seeds_run_the_streams_of_their_value():
+    # a uint64 seed shifted left by 64 in the Philox key used to give 0, so
+    # every uint64 seed ran the streams of seed 0
+    problem = qubo_to_ising(to_qubo(er_graph(12, 0.4, seed=3)))
+
+    def spins(seed):
+        return [run.spins.tolist() for run in sb_solve(problem, SbParams(n_steps=20, restarts=2, seed=seed))]
+
+    assert SbParams(seed=np.uint64(3)).seed == 3 and type(SbParams(seed=np.int64(3)).seed) is int
+    assert spins(np.uint64(3)) == spins(3) == spins(np.int64(3)) == spins(np.int32(3))
+    assert spins(np.uint64(7)) != spins(np.uint64(3))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, np.int64(-1)], ids=["minus-one", "two-to-64", "int64-minus-one"])
+def test_params_reject_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        SbParams(seed=seed)
+
+
 def coupling_scale(problem):
     """The ``c0`` that ``sb_solve`` steps with."""
     return _setup(problem, SbParams())[1]
