@@ -46,8 +46,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import market_graph, mis_qubo, timeseries
-from .sb_solver import SbParams, check_seed, solve_mis_sb
-from .timeseries import InsufficientDataError, PricePanel
+from .sb_solver import SbParams, solve_mis_sb
+from .timeseries import SEED_LIMIT, InsufficientDataError, PricePanel, check_int, parse_date
 
 MONTHS_PER_YEAR = 12
 
@@ -91,18 +91,16 @@ class BacktestConfig:
     initial_value: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", check_seed(self.seed))
-        if not -1.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [-1, 1]")
+        object.__setattr__(self, "seed", check_int("seed", self.seed, lo=0, below=SEED_LIMIT))
+        market_graph.check_theta(self.theta)
         _check_cost_rate(self.cost_rate)
         for name, choices in (("weighting", WEIGHTINGS), ("solver", SOLVERS)):
             if getattr(self, name) not in choices:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         for name in ("lookback_days", "restarts", "node_limit"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.lookback_months is not None and self.lookback_months < 1:
-            raise ValueError("lookback_months must be >= 1 when set")
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+        if self.lookback_months is not None:
+            object.__setattr__(self, "lookback_months", check_int("lookback_months", self.lookback_months))
         if not (math.isfinite(self.initial_value) and self.initial_value > 0):
             raise ValueError(f"initial_value must be finite and positive, got {self.initial_value}")
 
@@ -161,7 +159,7 @@ class BacktestReport:
 
 
 def _json_float(v: float):
-    if v is None or math.isnan(v):
+    if math.isnan(v):
         return None
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"
@@ -169,13 +167,7 @@ def _json_float(v: float):
 
 
 def _summary_json(s: Summary | None) -> dict | None:
-    if s is None:
-        return None
-    return {
-        "annual_return": _json_float(s.annual_return),
-        "annual_risk": _json_float(s.annual_risk),
-        "sharpe": _json_float(s.sharpe),
-    }
+    return None if s is None else {k: _json_float(v) for k, v in dataclasses.asdict(s).items()}
 
 
 def derive_seed(base: int, index: int) -> int:
@@ -333,9 +325,8 @@ _SWEEP_ROW_ERRORS = (
 
 
 class _Month(NamedTuple):
-    """One month of a pass, each array over every book; ``live`` marks the books that advanced."""
+    """One month of a pass, each array over every book."""
 
-    live: np.ndarray
     ret: np.ndarray | None  # None in the first month
     turnover: np.ndarray
     cost: np.ndarray
@@ -369,14 +360,14 @@ class _Books:
         self.errors: list[Exception | None] = [None] * len(configs)
 
     def advance(self, first: bool, selected: np.ndarray, vols: np.ndarray | None, prices: np.ndarray):
-        """Move every live book one month at ``prices``; return ``(live, ret, turnover, cost, traded)``.
+        """Move every live book one month at ``prices``; return ``(ret, turnover, cost, traded)``.
 
         A book trades to the target weights of its ``selected`` row, or holds
         its positions, with no trade and no cost, when the row is empty.  The
         month-end value is net of the month's trading costs, so the return
         carries the cost drag; ``ret`` is None in the ``first`` month.  A
         zero-volatility name in an ivw selection, or a non-positive base
-        value, stores that book's error and takes it out of ``live``.
+        value, stores that book's error and stops it.
         """
         live = np.array([e is None for e in self.errors])
         traded = live & selected.any(axis=1)
@@ -407,7 +398,7 @@ class _Books:
             ret = np.full(len(live), np.nan)
             ret[live] = value[live] / self.value[live] - 1.0
         self.value[live] = value[live]
-        return live, ret, turnover, cost, traded
+        return ret, turnover, cost, traded
 
 
 def _simulate(panel: PricePanel, books: _Books, group: int):
@@ -475,8 +466,6 @@ def run_backtest(panel: PricePanel, config: BacktestConfig) -> BacktestReport:
     books = _Books([config], panel.tickers)
     months = []
     for month in _simulate(panel, books, 1):
-        if not month.live[0]:
-            continue
         names = np.flatnonzero(books.held[0])
         months.append(MonthRecord(
             date=month.date,
@@ -531,10 +520,6 @@ class SweepRow:
     sharpe: float = math.nan
     hold_months: int | None = None
     error: str | None = None
-
-
-#: the statistics columns of a sweep CSV, in order; the last column is ``error``
-SWEEP_COLUMNS = [f.name for f in dataclasses.fields(SweepRow) if f.name != "error"]
 
 
 #: most thetas one grid may hold: a 0.001 step over all of [-1, 1]
@@ -661,6 +646,10 @@ def load_caps_csv(path) -> dict[str, dict[str, float]]:
             if len(row) != 3:
                 raise DataError(f"{path}: line {lineno}: expected 3 fields")
             date, ticker = row[0].strip(), row[1].strip()
+            try:
+                parse_date(date)
+            except ValueError:
+                raise DataError(f"{path}: line {lineno}: bad date {date!r}") from None
             try:
                 cap = float(row[2])
             except ValueError:

@@ -26,6 +26,7 @@ from .backtest import (
     SOLVERS,
     WEIGHTINGS,
     BacktestConfig,
+    _csv_cell,
     default_theta_grid,
     derive_seed,
     run_backtest,
@@ -38,7 +39,7 @@ from .backtest import (
 from .market_graph import build_graph, edge_density, read_edge_list, write_edge_list
 from .mis_qubo import SolveTimeout
 from .sb_solver import SbParams, solve_mis_sb_runs
-from .timeseries import DEFAULT_LOOKBACK_DAYS, correlation, load_prices, log_returns, synth_panel, write_prices
+from .timeseries import DEFAULT_LOOKBACK_DAYS, SEED_LIMIT, correlation, load_prices, log_returns, synth_panel, write_prices
 
 logger = logging.getLogger(__name__)
 
@@ -73,8 +74,7 @@ _count = _value(int, lambda v: v >= 1, "an integer >= 1")
 _above_zero = _value(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 _theta = _value(float, lambda v: -1.0 <= v <= 1.0, "a number in [-1, 1]")
 _cost_bps = _value(float, lambda v: 0.0 <= v < 10_000.0, "a number in [0, 10000)")
-# the seed derivations keep 64 bits, so seeds s and s + 2**64 would run the same streams
-_seed = _value(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
+_seed = _value(int, lambda v: 0 <= v < SEED_LIMIT, "an integer in [0, 2**64)")
 _factors = _value(int, lambda v: v >= 0, "an integer >= 0")
 _sizes = _value(lambda text: [int(s) for s in _names(text)], lambda v: v and min(v) >= 2,
                 "comma-separated integers >= 2")
@@ -285,7 +285,7 @@ def cmd_bench(args, parser) -> int:
         w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
         for row in rows:
-            w.writerow({k: ("" if isinstance(v, float) and math.isnan(v) else v) for k, v in row.items()})
+            w.writerow({k: _csv_cell(v) for k, v in row.items()})
     for row in rows:
         print(
             f"n={row['n_nodes']:>5} {row['solver']:>6}: "

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .timeseries import CorrelationMatrix
+from .timeseries import CorrelationMatrix, check_int
 
 #: a character that no edge line ``i j`` of plain decimal integers holds
 _NOT_INTEGER_TEXT = re.compile(r"[^0-9+\- \t\n]")
@@ -38,7 +38,7 @@ class MarketGraph:
     """Simple undirected graph; ``adjacency_matrix[i, j]`` is True iff i~j.
 
     The matrix must be a square bool array, symmetric with a zero diagonal,
-    with one row per ticker.
+    with one row per ticker, and ``theta`` must pass :func:`check_theta`.
     """
 
     tickers: tuple[str, ...]
@@ -46,6 +46,7 @@ class MarketGraph:
     adjacency_matrix: np.ndarray
 
     def __post_init__(self):
+        check_theta(self.theta)
         a = np.asarray(self.adjacency_matrix)
         n = len(self.tickers)
         if a.dtype != np.bool_ or a.shape != (n, n):
@@ -91,13 +92,14 @@ class MarketGraph:
             raise IndexError(f"node {node} out of range [0, {self.n_nodes})")
 
 
-def build_graph(corr: CorrelationMatrix, theta: float) -> MarketGraph:
-    """Connect i and j (i != j) whenever ``corr[i, j] >= theta`` (inclusive).
-
-    ``theta`` must lie in [-1, 1]: a NaN would leave every pair unconnected.
-    """
+def check_theta(theta: float) -> None:
+    """Raise ValueError unless ``theta`` lies in [-1, 1]: a NaN would leave every pair unconnected."""
     if not -1.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [-1, 1], got {theta!r}")
+
+
+def build_graph(corr: CorrelationMatrix, theta: float) -> MarketGraph:
+    """Connect i and j (i != j) whenever ``corr[i, j] >= theta`` (inclusive)."""
     mask = corr.values >= theta
     np.fill_diagonal(mask, False)
     return MarketGraph(tickers=tuple(corr.tickers), theta=float(theta), adjacency_matrix=mask)
@@ -151,14 +153,13 @@ def read_edge_list(path) -> MarketGraph:
         header = fh.readline().split()
         try:
             n_text, theta_text = header
-            n, theta = int(n_text), float(theta_text)
+            n, theta = check_int("n_nodes", int(n_text), lo=0), float(theta_text)
+            check_theta(theta)
         except ValueError:
-            n = -1  # rejected below, together with a negative count
-        if n < 0 or not -1.0 <= theta <= 1.0:
             raise ValueError(
                 f"{path}: line 1: expected header 'n_nodes theta' with a non-negative integer "
                 f"node count and a theta in [-1, 1], got {' '.join(header)!r}"
-            )
+            ) from None
         body = fh.read()
     # One pass when every line is a valid edge.  Only on ASCII digits, signs and
     # blanks, where loadtxt reads what int() reads or fails: some numpy releases

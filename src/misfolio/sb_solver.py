@@ -122,7 +122,6 @@ A run's state therefore stays finite, and no step checks it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -139,6 +138,7 @@ from .mis_qubo import (
     to_qubo,
     verify,
 )
+from .timeseries import SEED_LIMIT, check_int
 
 DEFAULT_COUPLING_KAPPA = 1.5
 DT = 0.2  # time step
@@ -158,11 +158,9 @@ class SbParams:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", check_seed(self.seed))
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        for name in ("n_steps", "restarts"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+        object.__setattr__(self, "seed", check_int("seed", self.seed, lo=0, below=SEED_LIMIT))
 
 
 @dataclass
@@ -296,19 +294,6 @@ def _advance(x, p, mm, scratch, k, j, bias_step, c0, params, split=None) -> None
     # the clip writes exactly +/-1, which the split reads as "pinned"
     np.copyto(p, 0.0, where=np.abs(x) > 1.0)
     np.clip(x, -1.0, 1.0, out=x)
-
-
-def check_seed(seed) -> int:
-    """``seed`` as a Python int in [0, 2**64), the seeds the 64-bit stream derivations tell apart.
-
-    Raises ValueError outside that range. A numpy integer is taken through
-    ``operator.index``: shifted or summed as itself, it would wrap or
-    overflow in the derivations.
-    """
-    value = operator.index(seed)
-    if not 0 <= value < 2**64:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return value
 
 
 def run_seed_key(seed: int, run_index: int) -> int:

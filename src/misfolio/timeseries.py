@@ -20,6 +20,8 @@ import csv
 import datetime
 import logging
 import math
+import operator
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +40,8 @@ IDIO_VOL = 0.012
 LOADING_SPREAD = 0.3
 START_PRICE = 100.0
 START_DATE = "2013-01-02"
+#: seeds lie in [0, SEED_LIMIT): the 64-bit stream derivations would run s and s + 2**64 alike
+SEED_LIMIT = 2**64
 
 
 class PriceFileError(ValueError):
@@ -52,14 +56,38 @@ class InsufficientDataError(ValueError):
     """Fewer rows than the requested window or operation needs."""
 
 
+def check_int(name: str, value, lo: int = 1, below: int | None = None) -> int:
+    """``value`` via ``operator.index`` (a float or a string fails) as an int in ``[lo, below)``; else ValueError."""
+    try:
+        out = operator.index(value)
+        if lo <= out and (below is None or out < below):
+            return out
+    except TypeError:
+        pass
+    k = (below or 0).bit_length() - 1  # a power-of-two bound reads as one: the seeds' 2**64
+    bound = f">= {lo}" if below is None else f"in [{lo}, {f'2**{k}' if below == 2**k else below})"
+    raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
+def parse_date(text: str) -> datetime.date:
+    """The ``YYYY-MM-DD`` calendar date ``text``, else ValueError.  Months are grouped by a date's first seven
+    characters, so the other ISO-8601 forms Python 3.11 parses (``20130102``, ``2013-W01-3``) are rejected."""
+    if re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        try:
+            return datetime.date.fromisoformat(text)
+        except ValueError:  # a day the calendar lacks, as 2013-02-30
+            pass
+    raise ValueError(f"bad date {text!r}: expected a YYYY-MM-DD calendar date")
+
+
 @dataclass(frozen=True, eq=False)
 class PricePanel:
     """Dated matrix of positive, dividend-adjusted closing prices.
 
-    ``prices[t, i]`` is the close of ``tickers[i]`` on ``dates[t]``.
-    Dates are ISO-8601 strings, strictly increasing.  ``prices`` is stored
-    C-contiguous, so a panel gives the same bits whether it was loaded or
-    built in memory (reductions sum in memory order).
+    ``prices[t, i]`` is the close of ``tickers[i]`` on ``dates[t]``.  Dates
+    are ``YYYY-MM-DD`` strings (:func:`parse_date`), strictly increasing, and
+    tickers are unique.  ``prices`` is stored C-contiguous, so a panel gives the
+    same bits whether it was loaded or built in memory (reductions sum in memory order).
     """
 
     dates: tuple[str, ...]
@@ -78,9 +106,13 @@ class PricePanel:
             )
         if p.size and not (np.isfinite(p).all() and (p > 0).all()):
             raise ValueError("prices must be strictly positive and finite")
+        for d in self.dates:
+            parse_date(d)
         for a, b in zip(self.dates, self.dates[1:]):
             if a >= b:
                 raise ValueError(f"dates not strictly increasing at {a!r} -> {b!r}")
+        if len(set(self.tickers)) < len(self.tickers):
+            raise ValueError(f"tickers must be unique; {max(self.tickers, key=self.tickers.count)!r} is repeated")
 
     @property
     def n_dates(self) -> int:
@@ -128,7 +160,7 @@ class CorrelationMatrix:
 
 
 def load_prices(path) -> PricePanel:
-    """Load a price CSV: header ``date,<ticker>,...``, ISO dates, decimal prices.
+    """Load a price CSV: header ``date,<ticker>,...``, ``YYYY-MM-DD`` dates, decimal prices.
 
     Tickers with any missing (empty cell) or non-positive value are dropped
     with a warning.  Structural problems (bad header, bad date, unparseable
@@ -159,9 +191,11 @@ def load_prices(path) -> PricePanel:
                 )
             ds = row[0].strip()
             try:
-                datetime.date.fromisoformat(ds)
+                parse_date(ds)
             except ValueError:
                 raise PriceFileError(f"{path}: row {rnum}, column 1: bad date {ds!r}") from None
+            if dates and dates[-1] >= ds:
+                raise PriceFileError(f"{path}: row {rnum}: dates not strictly increasing at {ds!r}")
             vals = []
             for cnum, cell in enumerate(row[1:], start=2):
                 cell = cell.strip()
@@ -183,9 +217,6 @@ def load_prices(path) -> PricePanel:
 
     if not rows:
         raise PriceFileError(f"{path}: no data rows")
-    for a, b in zip(dates, dates[1:]):
-        if a >= b:
-            raise PriceFileError(f"{path}: dates not strictly increasing at {b!r}")
 
     keep = [i for i in range(len(tickers)) if i not in reasons]
     for i, why in sorted(reasons.items()):
@@ -217,8 +248,7 @@ def log_returns(panel: PricePanel) -> ReturnMatrix:
 
 
 def _trailing(returns: ReturnMatrix, window_days: int) -> np.ndarray:
-    if window_days < 1:
-        raise ValueError("window_days must be positive")
+    window_days = check_int("window_days", window_days)
     if returns.n_rows < window_days:
         raise InsufficientDataError(
             f"need {window_days} return rows, have {returns.n_rows}"
@@ -276,8 +306,8 @@ def correlation(returns: ReturnMatrix, window_days: int) -> CorrelationMatrix:
 
 
 def business_days(start: str, count: int) -> tuple[str, ...]:
-    """`count` ISO dates from `start` onward, skipping Saturdays/Sundays."""
-    day = datetime.date.fromisoformat(start)
+    """`count` ``YYYY-MM-DD`` dates from `start` onward, skipping Saturdays/Sundays."""
+    day = parse_date(start)
     out = []
     while len(out) < count:
         if day.weekday() < 5:
@@ -296,12 +326,10 @@ def synth_panel(n_stocks: int, n_days: int, n_factors: int, seed: int) -> PriceP
     ``z`` standard normal.  Prices start at ``START_PRICE`` on
     ``START_DATE`` and compound the returns over business days.  The
     generator is Philox keyed by ``seed``, so equal seeds give
-    bit-identical panels.
+    bit-identical panels; ``seed`` lies in [0, ``SEED_LIMIT``).
     """
-    if n_stocks < 1 or n_days < 1:
-        raise ValueError("n_stocks and n_days must be positive")
-    if n_factors < 0:
-        raise ValueError("n_factors must be non-negative")
+    n_stocks, n_days = check_int("n_stocks", n_stocks), check_int("n_days", n_days)
+    n_factors, seed = check_int("n_factors", n_factors, lo=0), check_int("seed", seed, lo=0, below=SEED_LIMIT)
     rng = np.random.Generator(np.random.Philox(key=seed))
     loadings = np.zeros((n_stocks, n_factors))
     if n_factors > 0:

@@ -23,7 +23,6 @@ from misfolio.backtest import (
     _Books,
     SOLVERS,
     MAX_THETAS,
-    SWEEP_COLUMNS,
     AccountingError,
     Summary,
     SweepRow,
@@ -130,8 +129,7 @@ def test_weights_ivw_zero_vol_names_ticker():
     # in the backtest the error names the ticker and stops only its ivw book
     configs = [BacktestConfig(theta=0.2, weighting=w) for w in ("ivw", "ew")]
     books = _Books(configs, ("A", "B"))
-    live, *_ = books.advance(True, rows("11", "11"), vols, np.array([1.0, 2.0]))
-    assert live.tolist() == [False, True]
+    books.advance(True, rows("11", "11"), vols, np.array([1.0, 2.0]))
     assert isinstance(books.errors[0], ZeroVolatilityError) and "volatility of B is zero" in str(books.errors[0])
     assert books.errors[1] is None
 
@@ -226,11 +224,11 @@ def test_array_step_matches_the_dict_reference_bit_for_bit(data):
         selected = np.array([
             data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="selected") for _ in configs
         ]).reshape(len(configs), n)
-        live, ret, turnover, cost, traded = books.advance(month == 0, selected, vols, prices)
+        ret, turnover, cost, traded = books.advance(month == 0, selected, vols, prices)
         price, vol_of = dict(zip(tickers, prices.tolist())), dict(zip(tickers, vols.tolist()))
         for b, ref in enumerate(refs):
             if errors[b] is not None:
-                assert not live[b]
+                assert books.errors[b] is not None
                 continue
             names = [tickers[i] for i in np.flatnonzero(selected[b])]
             prev_value = ref.value
@@ -241,7 +239,7 @@ def test_array_step_matches_the_dict_reference_bit_for_bit(data):
                     errors[b] = exc
                     with pytest.raises(ZeroVolatilityError):
                         weights_ivw(selected[b : b + 1], vols)
-                    assert not live[b] and str(books.errors[b]) == str(exc)
+                    assert str(books.errors[b]) == str(exc)
                     continue
                 row = weights_ivw(selected[b : b + 1], vols) if ivw[b] else weights_ew(selected[b : b + 1])
                 assert repr(row[0].tolist()) == repr([weights.get(t, 0.0) for t in tickers])
@@ -259,7 +257,7 @@ def test_array_step_matches_the_dict_reference_bit_for_bit(data):
                 float(books.value[b]), float(turnover[b]), float(cost[b]), bool(traded[b]),
             )
             assert repr(got) == repr((ref.shares, ref.holdings, ref.value, want_turnover, want_cost, bool(names)))
-            assert live[b] and books.errors[b] is None
+            assert books.errors[b] is None
             assert (ret is None) == (month == 0)
             if ret is not None:
                 assert repr(float(ret[b])) == repr(ref_monthly_return(prev_value, ref.value))
@@ -344,14 +342,13 @@ def test_books_zero_base_value_stops_only_that_book():
     selected = rows("100", "100", "010", "001")
     books.advance(True, selected, None, np.array([10.0, 20.0, 50.0]))
     books.value[1] = 0.0
-    live, ret, *_ = books.advance(False, selected, None, np.array([10.5, 18.0, 50.0]))
-    assert live.tolist() == [True, False, True, True]
+    ret, *_ = books.advance(False, selected, None, np.array([10.5, 18.0, 50.0]))
     assert isinstance(books.errors[1], AccountingError) and str(books.errors[1]) == "non-positive base value 0.0"
     assert [books.errors[b] for b in (0, 2, 3)] == [None, None, None]
     assert math.isnan(ret[1])
     assert ret[0] == pytest.approx(0.05) and ret[2] == pytest.approx(-0.10) and ret[3] == 0.0
-    live, *_ = books.advance(False, selected, None, np.array([10.5, 18.0, 50.0]))
-    assert live.tolist() == [True, False, True, True]
+    books.advance(False, selected, None, np.array([10.5, 18.0, 50.0]))
+    assert [e is None for e in books.errors] == [True, False, True, True]
 
 
 def test_month_end_indices():
@@ -616,7 +613,7 @@ def test_sweep_error_row_leaves_every_statistic_empty_in_csv(tmp_path):
     assert len(rows) == 2
     for row in rows:
         assert row["error"]
-        assert all(row[c] == "" for c in SWEEP_COLUMNS if c not in ("theta", "weighting"))
+        assert all(row[f.name] == "" for f in dataclasses.fields(SweepRow) if f.name not in ("theta", "weighting", "error"))
 
 
 def test_sweep_weightings_of_a_theta_share_graph_and_selection_statistics():

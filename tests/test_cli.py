@@ -189,6 +189,21 @@ def test_backtest_cost_of_whole_turnover_is_rejected(tmp_path):
     assert not out.exists()
 
 
+def test_backtest_of_yyyymmdd_dates_is_a_runtime_error_and_writes_nothing(tmp_path):
+    # months are grouped by a date's first seven characters, so 20130102 would
+    # split one year into dozens of "months"
+    iso = synth(tmp_path, stocks=4, days=300)
+    prices = tmp_path / "basic.csv"
+    prices.write_text("".join(
+        line.replace("-", "", 2) if line[:1].isdigit() else line for line in iso.read_text().splitlines(True)
+    ))
+    out = tmp_path / "report.json"
+    r = run_cli("backtest", "--prices", prices, "--theta", 0.25, "--window-days", 63, "--solver", "greedy", "--out", out)
+    assert r.returncode == 1
+    assert "bad date '20130102'" in r.stderr
+    assert not out.exists() and not (tmp_path / "report_cumulative.csv").exists()
+
+
 def test_backtest_single_stock_zero_cost_is_buy_and_hold(tmp_path):
     prices = synth(tmp_path, stocks=1, days=300, factors=1)
     out = tmp_path / "report.json"

@@ -35,6 +35,9 @@ def test_threshold_of_one_gives_empty_graph():
 def test_threshold_outside_minus_one_to_one_is_rejected(theta):
     with pytest.raises(ValueError, match=r"theta must lie in \[-1, 1\]"):
         build_graph(three_stock_corr(), theta)
+    # the graph owns the rule, so a graph built from edges keeps it too
+    with pytest.raises(ValueError, match=r"theta must lie in \[-1, 1\]"):
+        graph_from_edges(2, [(0, 1)], theta=theta)
 
 
 def test_threshold_minus_one_gives_complete_graph():

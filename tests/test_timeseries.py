@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misfolio import timeseries
-from misfolio.backtest import BacktestConfig, run_backtest
+from misfolio.backtest import BacktestConfig, DataError, load_caps_csv, run_backtest
+from misfolio.sb_solver import SbParams
 from misfolio.timeseries import (
     CorrelationMatrix,
     EmptyUniverseError,
@@ -100,6 +101,26 @@ def test_load_empty_universe(tmp_path):
     path = write_csv(tmp_path, "date,AAA\n2020-01-01,\n")
     with pytest.raises(EmptyUniverseError):
         load_prices(path)
+
+
+# months are grouped by a date's first seven characters, so only YYYY-MM-DD calendar dates pass
+@pytest.mark.parametrize("bad", ["20130102", "2013-W01-3", "2013-1-2", "2013-02-30"])
+def test_every_reader_rejects_a_date_that_is_not_yyyy_mm_dd(tmp_path, bad):
+    with pytest.raises(ValueError, match="bad date"):
+        PricePanel(dates=(bad,), tickers=("AAA",), prices=[[10.0]])
+    path = write_csv(tmp_path, f"date,AAA\n2013-01-01,10\n{bad},11\n")
+    with pytest.raises(PriceFileError, match=rf"prices\.csv: row 3, column 1: bad date '{bad}'"):
+        load_prices(path)
+    caps = tmp_path / "caps.csv"
+    caps.write_text(f"date,ticker,cap\n2013-01-31,A,100\n{bad},B,300\n")
+    with pytest.raises(DataError, match=rf"caps\.csv: line 3: bad date '{bad}'"):
+        load_caps_csv(caps)
+
+
+def test_panel_with_a_repeated_ticker_is_rejected():
+    # its books would merge two names' weights under one key
+    with pytest.raises(ValueError, match="'AAA' is repeated"):
+        PricePanel(dates=("2020-01-01",), tickers=("AAA", "BBB", "AAA"), prices=[[1.0, 2.0, 3.0]])
 
 
 def test_panel_without_tickers_is_rejected():
@@ -357,6 +378,43 @@ def test_synth_panel_rejects_bad_counts():
         synth_panel(0, 10, 1, seed=0)
     with pytest.raises(ValueError):
         synth_panel(3, 0, 1, seed=0)
+
+
+#: each integer field, as a call that passes ``value`` to it alone
+INTEGER_FIELDS = {
+    "SbParams.n_steps": lambda v: SbParams(n_steps=v),
+    "SbParams.restarts": lambda v: SbParams(restarts=v),
+    "SbParams.seed": lambda v: SbParams(seed=v),
+    "BacktestConfig.lookback_days": lambda v: BacktestConfig(theta=0.25, lookback_days=v),
+    "BacktestConfig.lookback_months": lambda v: BacktestConfig(theta=0.25, lookback_months=v),
+    "BacktestConfig.restarts": lambda v: BacktestConfig(theta=0.25, restarts=v),
+    "BacktestConfig.node_limit": lambda v: BacktestConfig(theta=0.25, node_limit=v),
+    "BacktestConfig.seed": lambda v: BacktestConfig(theta=0.25, seed=v),
+    "synth_panel.n_stocks": lambda v: synth_panel(v, 10, 1, 0),
+    "synth_panel.n_days": lambda v: synth_panel(4, v, 1, 0),
+    "synth_panel.n_factors": lambda v: synth_panel(4, 10, v, 0),
+    "synth_panel.seed": lambda v: synth_panel(4, 10, 1, v),
+    "volatility.window_days": lambda v: volatility(returns_from(np.ones((5, 2))), v),
+    "correlation.window_days": lambda v: correlation(returns_from(np.ones((5, 2))), v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, np.float64(3.0), "3"], ids=["float", "numpy-float", "string"])
+@pytest.mark.parametrize("field", list(INTEGER_FIELDS))
+def test_every_integer_field_rejects_a_non_integer_naming_the_field(field, value):
+    # a float used to pass the "< 1" checks and fail later, or a float seed to run the streams of its floor
+    name = field.split(".")[1]
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+        INTEGER_FIELDS[field](value)
+
+
+@pytest.mark.parametrize("make, fields", [
+    (SbParams, ("n_steps", "restarts", "seed")),
+    (lambda **kw: BacktestConfig(theta=0.25, **kw), ("lookback_days", "lookback_months", "restarts", "node_limit", "seed")),
+])
+def test_numpy_integer_fields_are_stored_as_python_ints(make, fields):
+    made = make(**{f: np.int64(3) for f in fields})
+    assert all(type(getattr(made, f)) is int and getattr(made, f) == 3 for f in fields)
 
 
 def test_business_days_skip_weekends():
