@@ -633,7 +633,11 @@ class DifrRow:
 
 
 def load_caps_csv(path) -> dict[str, dict[str, float]]:
-    """Capitalizations from ``date,ticker,cap`` rows, keyed by month (YYYY-MM)."""
+    """Capitalizations from ``date,ticker,cap`` rows, keyed by month (YYYY-MM).
+
+    A ticker may appear once per month; a second row for it raises
+    :class:`DataError` rather than replacing the first.
+    """
     out: dict[str, dict[str, float]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -656,7 +660,10 @@ def load_caps_csv(path) -> dict[str, dict[str, float]]:
                 raise DataError(f"{path}: line {lineno}: cap {row[2].strip()!r} is not a number") from None
             if not (math.isfinite(cap) and cap > 0):
                 raise DataError(f"{path}: line {lineno}: cap must be finite and positive, got {cap}")
-            out.setdefault(date[:7], {})[ticker] = cap
+            month = out.setdefault(date[:7], {})
+            if ticker in month:
+                raise DataError(f"{path}: line {lineno}: a second cap for {ticker!r} in {date[:7]}")
+            month[ticker] = cap
     return out
 
 

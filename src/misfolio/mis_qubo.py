@@ -38,6 +38,8 @@ from .market_graph import _BLOCK_ROWS, MarketGraph, _strips
 PENALTY = 2.0
 REWARD = 1.0
 _NEVER_PICKED = np.iinfo(np.intp).max  # a picked or removed node's degree; later drops take at most n off it
+#: rows per block of reduce's domination product: 0.03 s at n=2048 against 0.05 s with 64 (2-core Xeon, OpenBLAS 0.3.31)
+_DOMINATION_ROWS = 256
 
 
 class GraphTooLargeError(ValueError):
@@ -150,9 +152,12 @@ def qubo_to_ising(problem: QuboProblem) -> IsingProblem:
     # -(PENALTY/4) * a, which would put -0.0 on every non-edge
     j = np.where(a, np.float32(-PENALTY / 4.0), np.float32(0.0))
     h = REWARD / 2.0 - PENALTY * deg / 4.0
-    n_edges = float(deg.sum()) / 2.0
-    offset = -n * REWARD / 2.0 + PENALTY * n_edges / 4.0
-    return IsingProblem(j=j, h=h, offset=offset)
+    return IsingProblem(j=j, h=h, offset=_ising_offset(n, int(deg.sum()) // 2))
+
+
+def _ising_offset(n_nodes: int, n_edges: int) -> float:
+    """``offset`` of the spin form of MIS on a graph of this size (module docstring)."""
+    return -n_nodes * REWARD / 2.0 + PENALTY * n_edges / 4.0
 
 
 def ising_energy(problem: IsingProblem, spins) -> np.ndarray:
@@ -190,6 +195,62 @@ def verify(graph: MarketGraph, selected) -> tuple[bool, list[tuple[int, int]]]:
     rows, cols = np.nonzero(np.triu(graph.adjacency_matrix[np.ix_(nodes, nodes)], 1))
     violated = [(nodes[r], nodes[c]) for r, c in zip(rows.tolist(), cols.tolist())]
     return (not violated), violated
+
+
+def reduce(graph: MarketGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Settle the nodes two standard MIS reductions decide: ``(forced, kernel)``,
+    ascending node indices.
+
+    A node ``v`` with a neighbour ``u`` whose closed neighbourhood
+    ``N[u]`` lies inside ``N[v]`` is dropped: swapping ``v`` for ``u`` in
+    an independent set keeps it independent, so some maximum set avoids
+    ``v`` (between twins, ``N[u] == N[v]``, the lower index stays).  A
+    leaf's neighbour is dominated by the leaf, so no degree-1 rule is
+    needed.  Every dominated node is dropped in one round, which is safe
+    because domination is transitive, so each dropped node has a
+    dominator that stays; rounds repeat on the survivors until one drops
+    nothing.  The survivors with no surviving neighbour are ``forced``:
+    some maximum independent set of ``graph`` is ``forced`` plus a
+    maximum independent set of the graph induced on ``kernel``, which has
+    neither an isolated nor a dominated node.
+
+    ``u`` dominates ``v`` exactly when ``|N[u] & N[v]| == |N[u]|`` (then
+    ``u`` lies in ``N[v]``, so the two are adjacent), counted by a float32
+    product of closed-neighbourhood rows, exact below 2**24 nodes.  The
+    rows are sorted by closed degree (stable, so twins keep index order),
+    and a dominator never comes after what it dominates, so each row
+    block is multiplied only by the rows from it on.
+    """
+    sub = graph.adjacency_matrix  # the graph induced on nodes
+    nodes = np.arange(graph.n_nodes)
+    while True:
+        m = len(nodes)
+        degree = np.count_nonzero(sub, axis=1)
+        order = np.argsort(degree, kind="stable")
+        # row i is N[nodes[order[i]]]; gathered a block at a time, so no m x m bool copy is made
+        rows = np.empty((m, m), dtype=np.float32)
+        for start in range(0, m, _DOMINATION_ROWS):
+            rows[start : start + _DOMINATION_ROWS] = sub[order[start : start + _DOMINATION_ROWS]]
+        rows[np.arange(m), order] = 1.0
+        closed = (degree[order] + 1).astype(np.float32)
+        dominated = np.zeros(m, dtype=bool)
+        for start in range(0, m, _DOMINATION_ROWS):
+            # a dominated row dominates only what its own dominator, an earlier row, does
+            live = start + np.flatnonzero(~dominated[start : start + _DOMINATION_ROWS])
+            hits = rows[live] @ rows[start:].T == closed[live, None]
+            # every row contains itself, and of two twins the later one drops
+            k = min(_DOMINATION_ROWS, m - start)
+            hits[:, :k] &= np.arange(k) > (live - start)[:, None]
+            dominated[start:] |= hits.any(axis=0)
+        del rows
+        if not dominated.any():
+            break
+        keep = np.ones(m, dtype=bool)
+        keep[order[dominated]] = False
+        nodes = nodes[keep]
+        sub = sub[np.ix_(keep, keep)]
+    isolated = degree == 0
+    return nodes[isolated], nodes[~isolated]
 
 
 def _min_degree_order(adjacency: np.ndarray):

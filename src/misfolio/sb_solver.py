@@ -65,8 +65,9 @@ in one pass over ``J``.
 Skipping pinned spins
 ---------------------
 A position that hits a wall is set to exactly +/-1 with ``p = 0``, and
-most stay there: in a 2,048-node independent-set solve, on average 86% of
-the columns of ``X`` sit at a wall in every restart.  For such a column
+most stay there: in the 576-748-spin kernels that the 2,048-node
+independent-set solves of ``solve_2048`` (seeds 0-3) reduce to, on
+average 72-74% of the columns of ``X`` sit at a wall in every restart.  For such a column
 the coupling product repeats work whose inputs have not changed, so
 ``sb_solve`` may split it:
 
@@ -107,6 +108,17 @@ spins are the same.
 (the measured crossover) whose ``coupling_magnitude`` is such a power of
 two; any other problem takes the dense product, unchanged.
 
+Reduced graphs
+--------------
+``solve_mis_sb_runs`` first reduces a graph of ``_SPLIT_MIN_SPINS`` nodes
+or more (:func:`~misfolio.mis_qubo.reduce`: isolated nodes are forced in,
+dominated nodes dropped) and steps only the kernel that is left, one
+induced graph; an empty kernel takes no step.  Each run is mapped back to
+the whole graph, forced nodes +1 and dropped nodes -1, with the whole
+problem's energy.  On the 2,048-node graphs of ``solve_2048`` (seeds
+0-11) the kernel has 523-903 nodes, and the reduction takes 0.04-0.10 s
+(2-core Xeon, OpenBLAS 0.3.31).
+
 Input validation
 ----------------
 The walls hold every position in [-1, 1] and ``|(J x)_i| <= sqrt(n) |J|_F``,
@@ -130,9 +142,11 @@ from .market_graph import _BLOCK_ROWS, MarketGraph
 from .mis_qubo import (
     IsingProblem,
     MisSolution,
+    _ising_offset,
     decode,
     ising_energy,
     qubo_to_ising,
+    reduce,
     repair as repair_solution,
     select_best,
     to_qubo,
@@ -143,7 +157,11 @@ from .timeseries import SEED_LIMIT, check_int
 DEFAULT_COUPLING_KAPPA = 1.5
 DT = 0.2  # time step
 ALPHA0 = 1.0  # pump amplitude that alpha_k ramps up to
-#: smallest n for which the pinned/free split beats the dense product (measured, see CHANGES.md)
+#: smallest n for which the pinned/free split beats the dense product (measured, see CHANGES.md),
+#: and the smallest graph solve_mis_sb_runs reduces: from here a step is bound by the coupling
+#: product, so a smaller problem pays; below, a step is call overhead and a non-empty kernel
+#: solves no faster (and the tests of perfbench/test_perfbench.py that pin full-graph bSB use
+#: 6-node graphs, whose kernels are empty)
 _SPLIT_MIN_SPINS = 300
 #: bytes of the split's resident J rows: 512 float32 rows at n=2048, two 2 MiB L2 caches (measured, see CHANGES.md)
 _RESIDENT_BYTES = 4 * 2**20
@@ -326,16 +344,48 @@ def sb_solve(problem: IsingProblem, params: SbParams) -> list[SbRunResult]:
     ]
 
 
+def _solve_reduced(graph: MarketGraph, params: SbParams) -> list[SbRunResult]:
+    """``sb_solve`` on the kernel of :func:`~misfolio.mis_qubo.reduce`, each run
+    mapped back to ``graph``: forced nodes +1, dropped nodes -1, and the
+    energy that of the full problem.
+
+    No edge joins a forced node to the kernel, so the full QUBO cost is the
+    kernel's minus one per forced node; every term is a multiple of 1/4,
+    so the energy is exact and equals ``ising_energy`` on the full problem.
+    """
+    forced, kernel = reduce(graph)
+    spins = np.full((params.restarts, graph.n_nodes), -1, dtype=np.int8)
+    spins[:, forced] = 1
+    costs = np.zeros(params.restarts)
+    if len(kernel):
+        sub = graph.adjacency_matrix[np.ix_(kernel, kernel)]
+        tickers = tuple(graph.tickers[i] for i in kernel)
+        problem = qubo_to_ising(to_qubo(MarketGraph(tickers=tickers, theta=graph.theta, adjacency_matrix=sub)))
+        runs = sb_solve(problem, params)
+        spins[:, kernel] = [run.spins for run in runs]
+        costs += [run.energy + problem.offset for run in runs]
+    offset = _ising_offset(graph.n_nodes, graph.n_edges)
+    return [
+        SbRunResult(spins=s, energy=cost - len(forced) - offset, decoded=decode(s), run_index=r)
+        for r, (s, cost) in enumerate(zip(spins, costs))
+    ]
+
+
 def solve_mis_sb_runs(
     graph: MarketGraph, params: SbParams, repair: bool = False
 ) -> tuple[MisSolution, list[SbRunResult]]:
     """Full pipeline: encode, solve, verify each run, keep the best.
 
-    Infeasible runs are discarded unless ``repair`` is set, in which case
-    they are patched (drop a violating endpoint, extend greedily) first.
+    A graph of ``_SPLIT_MIN_SPINS`` nodes or more is reduced first, and bSB
+    runs on its kernel only (:func:`_solve_reduced`); each run's spins and
+    energy are still those of the whole graph.  Infeasible runs are
+    discarded unless ``repair`` is set, in which case they are patched
+    (drop a violating endpoint, extend greedily) first.
     """
-    problem = qubo_to_ising(to_qubo(graph))
-    runs = sb_solve(problem, params)
+    if graph.n_nodes >= _SPLIT_MIN_SPINS:
+        runs = _solve_reduced(graph, params)
+    else:
+        runs = sb_solve(qubo_to_ising(to_qubo(graph)), params)
     for run in runs:
         ok, _ = verify(graph, run.decoded.selected)
         sol = replace(run.decoded, feasible=ok)

@@ -111,6 +111,9 @@ class PricePanel:
         for a, b in zip(self.dates, self.dates[1:]):
             if a >= b:
                 raise ValueError(f"dates not strictly increasing at {a!r} -> {b!r}")
+        blank = [i for i, t in enumerate(self.tickers) if not str(t).strip()]
+        if blank:
+            raise ValueError(f"tickers must be non-empty names; ticker {blank[0]} is {self.tickers[blank[0]]!r}")
         if len(set(self.tickers)) < len(self.tickers):
             raise ValueError(f"tickers must be unique; {max(self.tickers, key=self.tickers.count)!r} is repeated")
 
@@ -175,6 +178,8 @@ def load_prices(path) -> PricePanel:
         if len(header) < 2 or header[0].strip().lower() != "date":
             raise PriceFileError(f"{path}: row 1: header must be 'date,<ticker>,...'")
         tickers = [t.strip() for t in header[1:]]
+        if not all(tickers):
+            raise PriceFileError(f"{path}: row 1, column {tickers.index('') + 2}: empty ticker in header")
         if len(set(tickers)) != len(tickers):
             raise PriceFileError(f"{path}: row 1: duplicate ticker in header")
 

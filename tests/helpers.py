@@ -121,6 +121,35 @@ def ref_repair(graph: MarketGraph, selected) -> tuple[int, ...]:
     return tuple(sorted(keep))
 
 
+def induced(graph: MarketGraph, nodes) -> MarketGraph:
+    """The subgraph of ``graph`` on ``nodes``, renumbered 0.. in their order."""
+    nodes = list(nodes)
+    return MarketGraph(
+        tickers=tuple(graph.tickers[i] for i in nodes),
+        theta=graph.theta,
+        adjacency_matrix=graph.adjacency_matrix[np.ix_(nodes, nodes)],
+    )
+
+
+def ref_reduce(graph: MarketGraph) -> tuple[list[int], list[int]]:
+    """Domination and isolated-node reductions on Python sets: drop every
+    ``v`` with a neighbour ``u`` whose closed neighbourhood lies in ``v``'s
+    (the lower of two twins stays), repeat until nothing drops, then split
+    the survivors into isolated (forced) and the rest (kernel)."""
+    alive = set(range(graph.n_nodes))
+    while True:
+        closed = {v: {v} | (set(graph.neighbors(v)) & alive) for v in alive}
+        drop = {
+            v for v in alive for u in closed[v] - {v}
+            if closed[u] < closed[v] or (closed[u] == closed[v] and u < v)
+        }
+        if not drop:
+            break
+        alive -= drop
+    forced = sorted(v for v in alive if closed[v] == {v})
+    return forced, sorted(alive - set(forced))
+
+
 def ref_solve_exact(graph: MarketGraph) -> tuple[int, ...]:
     """Recursive branch and bound: absorb isolated candidates, bound by a
     clique cover, then branch on a maximum-degree candidate, include first."""

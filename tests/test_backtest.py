@@ -991,3 +991,11 @@ def test_load_caps_csv_rejects_a_cap_that_is_not_a_positive_number(tmp_path, cap
     bad.write_text(f"date,ticker,cap\n2020-01-31,A,100\n2020-01-31,B,{cap}\n")
     with pytest.raises(DataError, match=r"bad\.csv: line 3: cap"):
         load_caps_csv(bad)
+
+
+def test_load_caps_csv_rejects_a_second_cap_for_one_ticker_in_one_month(tmp_path):
+    # keyed by month, the later row used to replace the earlier without a word
+    bad = tmp_path / "caps.csv"
+    bad.write_text("date,ticker,cap\n2020-01-15,A,100\n2020-01-31,A,200\n")
+    with pytest.raises(DataError, match=r"caps\.csv: line 3: a second cap for 'A' in 2020-01"):
+        load_caps_csv(bad)

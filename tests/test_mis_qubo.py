@@ -13,14 +13,17 @@ from helpers import (
     brute_force_mis_size,
     er_graph,
     feasible_mask,
+    induced,
     qubo_cost,
     qubo_cost_many,
     ref_greedy,
     ref_min_degree_order,
+    ref_reduce,
     ref_repair,
     ref_solve_exact,
     ref_verify,
 )
+from misfolio import mis_qubo
 from misfolio.backtest import default_theta_grid
 from misfolio.market_graph import MarketGraph, build_graph, graph_from_edges
 from misfolio.mis_qubo import (
@@ -34,6 +37,7 @@ from misfolio.mis_qubo import (
     decode,
     ising_energy,
     qubo_to_ising,
+    reduce,
     repair,
     select_best,
     solve_exact,
@@ -439,3 +443,50 @@ def test_nodes_isolated_mid_run_are_taken_where_the_reference_takes_them():
         for _ in range(20):
             selected = tuple(int(i) for i in np.flatnonzero(rng.random(g.n_nodes) < rng.uniform(0.05, 0.5)))
             assert repair(g, sol(selected, feasible=False)).selected == ref_repair(g, selected), label
+
+
+# --- reductions ----------------------------------------------------------------
+
+
+@given(st.integers(0, 14), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 256]))
+@example(0, 0.0, 0, 256)
+@example(6, 0.0, 0, 256)  # all isolated: everything forced
+@example(8, 1.0, 0, 3)  # complete: node 0 dominates the rest and is then isolated
+@settings(max_examples=80, deadline=None)
+def test_reduce_keeps_the_independence_number(n, p, seed, block_rows):
+    graph = er_graph(n, p, seed)
+    # small blocks put dominators and what they dominate in different blocks of the product
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mis_qubo, "_DOMINATION_ROWS", block_rows)
+        forced, kernel = reduce(graph)
+    assert (forced.tolist(), kernel.tolist()) == ref_reduce(graph)
+    assert np.all(np.diff(forced) > 0) and np.all(np.diff(kernel) > 0)
+    assert set(forced.tolist()).isdisjoint(kernel.tolist())
+    assert verify(graph, forced) == (True, [])
+    core = induced(graph, kernel)
+    assert len(forced) + brute_force_mis_size(core) == brute_force_mis_size(graph)
+    again_forced, again_kernel = reduce(core)
+    assert again_forced.size == 0 and again_kernel.tolist() == list(range(len(kernel)))
+
+
+@pytest.mark.parametrize(
+    "edges, forced, kernel",
+    [
+        ([(0, 1), (1, 2), (2, 3), (3, 4)], [0, 2, 4], []),  # path: leaves win, rounds repeat
+        ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], [], [0, 1, 2, 3, 4]),  # 5-cycle: nothing dominated
+        ([(0, 1), (0, 2), (0, 3)], [1, 2, 3], []),  # star: the centre is dominated by every leaf
+        ([(0, 1), (0, 2), (1, 2), (3, 4)], [0, 3], []),  # triangle twins and an edge: lower index stays
+    ],
+    ids=["path", "five-cycle", "star", "twins"],
+)
+def test_reduce_examples(edges, forced, kernel):
+    got = reduce(graph_from_edges(max(map(max, edges)) + 1, edges))
+    assert (got[0].tolist(), got[1].tolist()) == (forced, kernel)
+
+
+def test_reduce_matches_the_set_reference_on_a_market_graph():
+    returns = log_returns(synth_panel(300, 300, 3, seed=0))
+    graph = build_graph(correlation(returns, returns.n_rows), 0.25)
+    forced, kernel = reduce(graph)
+    assert (forced.tolist(), kernel.tolist()) == ref_reduce(graph)
+    assert len(forced) and len(kernel) and len(forced) + len(kernel) < graph.n_nodes

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     all_bit_configs,
     er_graph,
+    induced,
     ref_coupling_magnitude,
     ref_is_finite,
     ref_squared_norm,
@@ -17,7 +18,16 @@ from helpers import (
 )
 from misfolio import sb_solver
 from misfolio.market_graph import build_graph, graph_from_edges
-from misfolio.mis_qubo import NO_FEASIBLE, IsingProblem, ising_energy, qubo_to_ising, solve_exact, to_qubo, verify
+from misfolio.mis_qubo import (
+    NO_FEASIBLE,
+    IsingProblem,
+    ising_energy,
+    qubo_to_ising,
+    reduce,
+    solve_exact,
+    to_qubo,
+    verify,
+)
 from misfolio.sb_solver import (
     ALPHA0,
     DT,
@@ -674,3 +684,45 @@ def test_mis_sb_repairs_when_no_restart_is_feasible():
     sol = solve_mis_sb(k6, params)
     assert sol.size == 1 and sol.feasible is True
     assert verify(k6, sol.selected) == (True, [])
+
+
+def test_large_graph_runs_bsb_on_its_kernel_and_maps_each_run_back():
+    graph = synth_market_graph_400()
+    forced, kernel = reduce(graph)
+    dropped = np.setdiff1d(np.arange(graph.n_nodes), np.concatenate([forced, kernel]))
+    assert len(forced) and len(kernel) and len(dropped)
+    params = SbParams(n_steps=200, restarts=4, seed=3)
+    _, runs = solve_mis_sb_runs(graph, params)
+    spins = np.stack([run.spins for run in runs])
+    assert spins.shape == (params.restarts, graph.n_nodes)
+    assert (spins[:, forced] == 1).all() and (spins[:, dropped] == -1).all()
+    kernel_runs = sb_solve(qubo_to_ising(to_qubo(induced(graph, kernel))), params)
+    assert np.array_equal(spins[:, kernel], np.stack([run.spins for run in kernel_runs]))
+    assert [run.energy for run in runs] == ising_energy(qubo_to_ising(to_qubo(graph)), spins).tolist()
+    assert [run.decoded.feasible for run in runs] == [verify(graph, run.decoded.selected)[0] for run in runs]
+    _, repaired = solve_mis_sb_runs(graph, params, repair=True)
+    assert all(verify(graph, run.decoded.selected) == (True, []) for run in repaired)
+
+
+@pytest.mark.parametrize("n_nodes", [sb_solver._SPLIT_MIN_SPINS - 2, sb_solver._SPLIT_MIN_SPINS])
+def test_only_graphs_from_the_crossover_are_reduced(monkeypatch, n_nodes):
+    # disjoint edges: the lower end of each is forced, so the kernel is empty
+    graph = graph_from_edges(n_nodes, [(i, i + 1) for i in range(0, n_nodes, 2)])
+    solved = []
+
+    def recording_solve(problem, params):
+        solved.append(problem.n_spins)
+        return sb_solve(problem, params)
+
+    monkeypatch.setattr(sb_solver, "sb_solve", recording_solve)
+    params = SbParams(restarts=3, seed=2)
+    best, runs = solve_mis_sb_runs(graph, params)
+    assert len(runs) == params.restarts
+    if n_nodes >= sb_solver._SPLIT_MIN_SPINS:
+        assert solved == []
+        assert all(run.decoded.selected == tuple(range(0, n_nodes, 2)) for run in runs)
+        assert best.selected == tuple(range(0, n_nodes, 2)) and best.feasible is True
+    else:
+        assert solved == [n_nodes]
+    spins = np.stack([run.spins for run in runs])
+    assert [run.energy for run in runs] == ising_energy(qubo_to_ising(to_qubo(graph)), spins).tolist()

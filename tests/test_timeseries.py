@@ -117,6 +117,20 @@ def test_every_reader_rejects_a_date_that_is_not_yyyy_mm_dd(tmp_path, bad):
         load_caps_csv(caps)
 
 
+@pytest.mark.parametrize("blank", ["", "  "])
+def test_panel_with_an_empty_ticker_is_rejected(blank):
+    # an empty name would key weights in every report
+    with pytest.raises(ValueError, match=rf"ticker 1 is '{blank}'"):
+        PricePanel(dates=("2020-01-01",), tickers=("AAA", blank), prices=[[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("header", ["date,,B", "date, ,B", "date,A,"])
+def test_load_prices_rejects_an_empty_ticker(tmp_path, header):
+    path = write_csv(tmp_path, f"{header}\n2020-01-01,1,2\n")
+    with pytest.raises(PriceFileError, match=r"prices\.csv: row 1, column \d: empty ticker in header"):
+        load_prices(path)
+
+
 def test_panel_with_a_repeated_ticker_is_rejected():
     # its books would merge two names' weights under one key
     with pytest.raises(ValueError, match="'AAA' is repeated"):
