@@ -695,9 +695,9 @@ def difr_analysis(
     For every month-end in ``period``, each stock contributes its monthly
     return times its weight in each book; the difference summed over the
     period is the stock's score.  Weight series are keyed by month
-    (YYYY-MM); a month of the period missing from either series is a range
-    error.  When ``theta`` is given, the stock's average degree in the
-    monthly threshold graphs is reported alongside.
+    (YYYY-MM); two keys in one month, or a month of the period missing from
+    either series, raise ValueError.  When ``theta`` is given, the stock's
+    average degree in the monthly threshold graphs is reported alongside.
 
     Key M holds the books held *through* month M, so a :class:`MonthRecord`
     dated at the close of M-1 goes under M; keyed by its own ``date``, each
@@ -713,6 +713,11 @@ def difr_analysis(
 
     mis_by_month = {k[:7]: v for k, v in mis_weights.items()}
     bench_by_month = {k[:7]: v for k, v in benchmark_caps.items()}
+    for what, series in (("strategy weight", mis_weights), ("benchmark", benchmark_caps)):
+        keys = sorted(series)  # the keys of one month sort next to each other
+        for a, b in zip(keys, keys[1:]):
+            if a[:7] == b[:7]:
+                raise ValueError(f"{what} series keys {a!r} and {b!r} fall in one month")
 
     n = panel.n_tickers
     difr = np.zeros(n)

@@ -38,7 +38,8 @@ from .market_graph import _BLOCK_ROWS, MarketGraph, _strips
 PENALTY = 2.0
 REWARD = 1.0
 _NEVER_PICKED = np.iinfo(np.intp).max  # a picked or removed node's degree; later drops take at most n off it
-#: rows per block of reduce's domination product: 0.03 s at n=2048 against 0.05 s with 64 (2-core Xeon, OpenBLAS 0.3.31)
+#: rows per block and per column chunk of reduce's domination product: at n=2048 (seeds 0-3), 0.06-0.07 s against
+#: 0.08-0.09 s with 64 and 0.07-0.08 s with 512 (2-core Xeon, OpenBLAS 0.3.31)
 _DOMINATION_ROWS = 256
 
 
@@ -197,6 +198,13 @@ def verify(graph: MarketGraph, selected) -> tuple[bool, list[tuple[int, int]]]:
     return (not violated), violated
 
 
+def _closed_rows(sub: np.ndarray, order: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Float32 closed-neighbourhood rows ``N[order[i]]`` of ``sub``, ``i`` in ``idx``."""
+    rows = sub[order[idx]].astype(np.float32)
+    rows[np.arange(len(idx)), order[idx]] = 1.0
+    return rows
+
+
 def reduce(graph: MarketGraph) -> tuple[np.ndarray, np.ndarray]:
     """Settle the nodes two standard MIS reductions decide: ``(forced, kernel)``,
     ascending node indices.
@@ -218,8 +226,9 @@ def reduce(graph: MarketGraph) -> tuple[np.ndarray, np.ndarray]:
     ``u`` lies in ``N[v]``, so the two are adjacent), counted by a float32
     product of closed-neighbourhood rows, exact below 2**24 nodes.  The
     rows are sorted by closed degree (stable, so twins keep index order),
-    and a dominator never comes after what it dominates, so each row
-    block is multiplied only by the rows from it on.
+    and a dominator never comes after what it dominates, so a block of live
+    rows meets only the live rows from it on, both gathered from the bool
+    matrix a chunk at a time: no m x m float32 matrix is made.
     """
     sub = graph.adjacency_matrix  # the graph induced on nodes
     nodes = np.arange(graph.n_nodes)
@@ -227,22 +236,19 @@ def reduce(graph: MarketGraph) -> tuple[np.ndarray, np.ndarray]:
         m = len(nodes)
         degree = np.count_nonzero(sub, axis=1)
         order = np.argsort(degree, kind="stable")
-        # row i is N[nodes[order[i]]]; gathered a block at a time, so no m x m bool copy is made
-        rows = np.empty((m, m), dtype=np.float32)
-        for start in range(0, m, _DOMINATION_ROWS):
-            rows[start : start + _DOMINATION_ROWS] = sub[order[start : start + _DOMINATION_ROWS]]
-        rows[np.arange(m), order] = 1.0
         closed = (degree[order] + 1).astype(np.float32)
         dominated = np.zeros(m, dtype=bool)
-        for start in range(0, m, _DOMINATION_ROWS):
+        start = 0
+        while (rest := start + np.flatnonzero(~dominated[start:])).size:
             # a dominated row dominates only what its own dominator, an earlier row, does
-            live = start + np.flatnonzero(~dominated[start : start + _DOMINATION_ROWS])
-            hits = rows[live] @ rows[start:].T == closed[live, None]
-            # every row contains itself, and of two twins the later one drops
-            k = min(_DOMINATION_ROWS, m - start)
-            hits[:, :k] &= np.arange(k) > (live - start)[:, None]
-            dominated[start:] |= hits.any(axis=0)
-        del rows
+            live = rest[:_DOMINATION_ROWS]
+            start = live[-1] + 1
+            block = _closed_rows(sub, order, live)
+            for first in range(0, rest.size, _DOMINATION_ROWS):
+                cols = rest[first : first + _DOMINATION_ROWS]
+                hits = block @ _closed_rows(sub, order, cols).T == closed[live, None]
+                # every row contains itself, and of two twins the later one drops
+                dominated[cols] |= (hits & (cols > live[:, None])).any(axis=0)
         if not dominated.any():
             break
         keep = np.ones(m, dtype=bool)

@@ -116,8 +116,8 @@ dominated nodes dropped) and steps only the kernel that is left, one
 induced graph; an empty kernel takes no step.  Each run is mapped back to
 the whole graph, forced nodes +1 and dropped nodes -1, with the whole
 problem's energy.  On the 2,048-node graphs of ``solve_2048`` (seeds
-0-11) the kernel has 523-903 nodes, and the reduction takes 0.04-0.10 s
-(2-core Xeon, OpenBLAS 0.3.31).
+0-11) the kernel has 523-903 nodes, and the reduction takes 0.04-0.11 s
+and 4.6 MiB at its peak (2-core Xeon, OpenBLAS 0.3.31).
 
 Input validation
 ----------------

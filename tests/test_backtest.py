@@ -972,6 +972,21 @@ def test_difr_month_outside_series_is_range_error():
         difr_analysis(panel, weights, caps, (months[1], months[-1]))
 
 
+@pytest.mark.parametrize("series", ["weights", "caps"])
+def test_difr_rejects_two_keys_in_one_month(series):
+    # keyed by month, the later key used to replace the earlier without a word:
+    # S0000's avg_weight_mis read 0.0
+    panel = synth_panel(3, 70, 1, 0)
+    months = month_dates(panel)
+    weights = {d: {"S0000": 1.0} for d in months}
+    caps = {d: {t: 1.0 for t in panel.tickers} for d in months}
+    two = {"2013-02-01": {"S0000": 1.0}, "2013-02-28": {"S0001": 1.0}}
+    (weights if series == "weights" else caps).update(two)
+    what = "strategy weight" if series == "weights" else "benchmark"
+    with pytest.raises(ValueError, match=f"{what} series keys '2013-02-01' and '2013-02-28' fall in one month"):
+        difr_analysis(panel, weights, caps, (months[1], months[-1]))
+
+
 def test_load_caps_csv(tmp_path):
     path = tmp_path / "caps.csv"
     path.write_text("date,ticker,cap\n2020-01-31,A,100\n2020-01-31,B,300\n2020-02-28,A,120\n")

@@ -484,6 +484,18 @@ def test_reduce_examples(edges, forced, kernel):
     assert (got[0].tolist(), got[1].tolist()) == (forced, kernel)
 
 
+@pytest.mark.parametrize("block_rows", [1, 3, 64, 256])
+def test_reduce_matches_the_set_reference_when_the_first_block_dominates_most(block_rows, monkeypatch):
+    # dense: the lowest-degree rows dominate most nodes, so the columns the
+    # product skips cross both block and chunk boundaries
+    returns = log_returns(synth_panel(300, 300, 3, seed=0))
+    graph = build_graph(correlation(returns, returns.n_rows), 0.20)
+    monkeypatch.setattr(mis_qubo, "_DOMINATION_ROWS", block_rows)
+    forced, kernel = reduce(graph)
+    assert (forced.tolist(), kernel.tolist()) == ref_reduce(graph)
+    assert len(forced) + len(kernel) < graph.n_nodes // 2
+
+
 def test_reduce_matches_the_set_reference_on_a_market_graph():
     returns = log_returns(synth_panel(300, 300, 3, seed=0))
     graph = build_graph(correlation(returns, returns.n_rows), 0.25)

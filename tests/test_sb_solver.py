@@ -16,7 +16,7 @@ from helpers import (
     ref_squared_norm,
     sb_stepper,
 )
-from misfolio import sb_solver
+from misfolio import mis_qubo, sb_solver
 from misfolio.market_graph import build_graph, graph_from_edges
 from misfolio.mis_qubo import (
     NO_FEASIBLE,
@@ -453,6 +453,23 @@ def test_encoding_and_solve_allocate_no_float64_matrix_and_no_second_j():
     assert sb_solver._RESIDENT_BYTES == 4 * n * n
     assert peak <= 4 * n * n + sb_solver._RESIDENT_BYTES + 2**20
     assert problem.j.dtype == np.float32 and len(runs) == 10
+
+
+def test_reduce_allocates_no_m_by_m_float32_matrix():
+    returns = log_returns(synth_panel(2048, 300, 3, seed=0))
+    graph = build_graph(correlation(returns, returns.n_rows), 0.25)
+    n = graph.n_nodes
+    tracemalloc.start()
+    try:
+        forced, kernel = reduce(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a block of live rows and a chunk of columns, each _DOMINATION_ROWS float32
+    # rows of n, plus the chunk's bool gather; the n x n float32 matrix alone
+    # (16 MiB) exceeds this
+    assert peak <= 3 * mis_qubo._DOMINATION_ROWS * n * 4 + 2**20
+    assert len(forced) + len(kernel) < n
 
 
 # --- what IsingProblem records about J ----------------------------------------------
