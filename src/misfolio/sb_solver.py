@@ -82,15 +82,12 @@ memory stays small.
 
 The free set hardly moves from one step to the next (at n=2048, after
 the first 20 steps about one column enters and one leaves per step), so
-the ``J`` rows of the free columns stay resident: a buffer of
-``_RESIDENT_BYTES`` (512 float32 rows at n=2048; the two cores' L2
-caches of 2 MiB each on the machine it was measured on), allocated once
-per solve, holds ``J[slots]``.  Each step a column that became pinned
-gives up its slot, the last rows in use move into the holes, and
-newly free columns take the open slots, so only the rows that changed
-are gathered.  ``X[:, free] @ J[free]`` is then one product over the
-slots, plus ``_BLOCK_ROWS``-row blocks for free columns beyond the
-buffer.
+the ``J`` rows of the free columns stay resident: a buffer allocated
+once per solve holds ``J[slots]``, at most n rows, no more than ``J``
+itself.  Each step a column that became pinned gives up its slot, the
+last rows in use move into the holes, and newly free columns take the
+next slots, so only the rows that changed are gathered.
+``X[:, free] @ J[free]`` is then one product over the slots.
 
 The split is exact when every nonzero entry of ``J`` is +/- the same
 power of two ``2**e``, as in the independent-set encoding (0 or
@@ -102,8 +99,8 @@ whatever the order.  The kept product therefore equals
 ``pinned_x @ J`` bit for bit at every step, with no drift.  Only the
 free part is rounded, in slot order rather than the dense product's
 column order, so a restart's last bits can differ from the dense path's,
-as they can with the BLAS blocking (above); on the graphs tested the
-spins are the same.
+as they can with the BLAS blocking (above); on the ``solve_2048``
+kernels the spins are the same, on some larger unreduced graphs a few differ.
 ``sb_solve`` splits a problem with at least ``_SPLIT_MIN_SPINS`` spins
 (the measured crossover) whose ``coupling_magnitude`` is such a power of
 two; any other problem takes the dense product, unchanged.
@@ -163,8 +160,6 @@ ALPHA0 = 1.0  # pump amplitude that alpha_k ramps up to
 #: solves no faster (and the tests of perfbench/test_perfbench.py that pin full-graph bSB use
 #: 6-node graphs, whose kernels are empty)
 _SPLIT_MIN_SPINS = 300
-#: bytes of the split's resident J rows: 512 float32 rows at n=2048, two 2 MiB L2 caches (measured, see CHANGES.md)
-_RESIDENT_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -225,34 +220,33 @@ class _PinnedSplit:
     ``pinned_x`` times the J rows of the columns that changed.  Exact only
     under :func:`_split_pays`'s condition on J (module docstring).
 
-    The J rows of up to ``len(rows)`` free columns stay in ``rows`` from
-    step to step: ``rows[:k]`` holds ``J[slots[:k]]``.
+    The J rows of the free columns stay in ``rows`` from step to step:
+    ``rows[:k]`` holds ``J[slots[:k]]``, at most n rows, no more than J.
     """
 
     def __init__(self, j: np.ndarray, shape):
         self.j = j
         self.pinned_x = np.zeros(shape, dtype=np.float32)
         self.pinned_mm = np.zeros(shape, dtype=np.float32)
-        n = len(j)
-        capacity = min(n, _RESIDENT_BYTES // (j.itemsize * n))
-        self.rows = np.empty((capacity, n), dtype=np.float32)
-        self.slots = np.empty(capacity, dtype=np.intp)
+        self.rows = np.empty(j.shape, dtype=np.float32)
+        self.slots = np.empty(len(j), dtype=np.intp)
         self.k = 0
 
     def __call__(self, x: np.ndarray, mm: np.ndarray) -> None:
         pinned = (np.abs(x) == 1.0).all(axis=0)
         pinned_x = np.where(pinned, x, 0.0)
         delta = pinned_x - self.pinned_x
-        self._accumulate(delta, delta.any(axis=0).nonzero()[0], self.pinned_mm)
+        changed = delta.any(axis=0).nonzero()[0]
+        for start in range(0, len(changed), _BLOCK_ROWS):
+            block = changed[start : start + _BLOCK_ROWS]
+            self.pinned_mm += delta[:, block] @ self.j[block]
         self.pinned_x = pinned_x
-        overflow = self._update_slots(pinned)
+        self._update_slots(pinned)
         np.matmul(x[:, self.slots[: self.k]], self.rows[: self.k], out=mm)
         mm += self.pinned_mm
-        self._accumulate(x, overflow, mm)
 
-    def _update_slots(self, pinned: np.ndarray) -> np.ndarray:
-        """Release the slots of newly pinned columns and fill open slots with
-        newly free ones; returns the free columns left without a slot."""
+    def _update_slots(self, pinned: np.ndarray) -> None:
+        """Release the slots of newly pinned columns and give every newly free column a slot."""
         gone = pinned[self.slots[: self.k]]
         k = self.k - np.count_nonzero(gone)
         # the last used rows that stay move into the holes below k, a block
@@ -267,19 +261,11 @@ class _PinnedSplit:
         unslotted = ~pinned
         unslotted[self.slots[:k]] = False
         arrivals = unslotted.nonzero()[0]
-        take = arrivals[: len(self.slots) - k]
-        self.k = k + len(take)
+        self.k = k + len(arrivals)
         # mode="raise" would gather into a temporary as large as out and copy
         # it over; the indices come from nonzero, so they are in range
-        np.take(self.j, take, axis=0, out=self.rows[k : self.k], mode="clip")
-        self.slots[k : self.k] = take
-        return arrivals[len(take) :]
-
-    def _accumulate(self, x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-        """``out += x[:, rows] @ J[rows]``, gathering the J rows in fixed-size blocks."""
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[start : start + _BLOCK_ROWS]
-            out += x[:, block] @ self.j[block]
+        np.take(self.j, arrivals, axis=0, out=self.rows[k : self.k], mode="clip")
+        self.slots[k : self.k] = arrivals
 
 
 def _split_pays(problem: IsingProblem) -> bool:

@@ -1014,3 +1014,12 @@ def test_load_caps_csv_rejects_a_second_cap_for_one_ticker_in_one_month(tmp_path
     bad.write_text("date,ticker,cap\n2020-01-15,A,100\n2020-01-31,A,200\n")
     with pytest.raises(DataError, match=r"caps\.csv: line 3: a second cap for 'A' in 2020-01"):
         load_caps_csv(bad)
+
+
+@pytest.mark.parametrize("ticker", ["", "  "])
+def test_load_caps_csv_rejects_an_empty_ticker(tmp_path, ticker):
+    # a blank name used to load as one more stock and take its share of the benchmark weight
+    bad = tmp_path / "caps.csv"
+    bad.write_text(f"date,ticker,cap\n2013-01-31,S0000,5\n2013-01-31,{ticker},5\n")
+    with pytest.raises(DataError, match=r"caps\.csv: line 3: empty ticker"):
+        load_caps_csv(bad)
