@@ -24,14 +24,13 @@ portfolio untouched (no trade, no cost) and are flagged.
 
 Every book of a pass (one in :func:`run_backtest`, one per theta and
 weighting in :func:`sweep_theta`) advances in one array step a month, over
-``(books, tickers)`` arrays of shares, held names and targets.  Each sum
-adds left to right, as Python 3.11's ``sum()`` does, in a fixed order: the
-book value and the weight totals in panel order (a selection is ascending
-node index), the cost equation and the turnover in ticker order.  A name
-outside a book adds exact zeros, so a book's figures do not depend on the
-books beside it.  The step has three stages, each over ``(books,
-tickers)`` arrays: :func:`weights_ew` and :func:`weights_ivw` give the
-target weights of the books that trade, and :func:`rebalance` trades them.
+``(books, tickers)`` arrays of shares and target weights.  Every sum adds
+left to right in panel order (a selection is ascending node index), on
+every Python version.  A name outside a book adds exact zeros, so a book's
+figures do not depend on the books beside it.  The step has three stages,
+each over ``(books, tickers)`` arrays: :func:`weights_ew` and
+:func:`weights_ivw` give the target weights of the books that trade, and
+:func:`rebalance` trades them.
 """
 
 from __future__ import annotations
@@ -178,8 +177,13 @@ def derive_seed(base: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def left_sum(values) -> float:
+    """``values`` added left to right from 0, as ``sum()`` adds them before Python 3.12 compensates float sums."""
+    return float(np.add.accumulate([0.0, *values])[-1])
+
+
 def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Each row of ``a`` summed left to right, the order of Python 3.11's ``sum()``.
+    """Each row of ``a`` summed left to right, as :func:`left_sum` adds it.
 
     ``a.sum(axis=1)`` adds pairwise, which can differ in the last bit.
     """
@@ -228,28 +232,27 @@ def _check_cost_rate(cost_rate: float) -> None:
         raise ValueError(f"cost_rate must lie in [0, 1), got {cost_rate}")
 
 
-def _mark(shares: np.ndarray, held: np.ndarray, value: np.ndarray, prices: np.ndarray):
-    """Each book's positions at ``prices``, and its value: their sum in column order, or ``value`` when it holds none."""
-    current = shares * prices
+def _mark(shares: np.ndarray, held: np.ndarray, value: np.ndarray, prices: np.ndarray) -> np.ndarray:
+    """Each book's value at ``prices``: its positions summed in panel order, or ``value`` when it holds none."""
     # a name no row holds adds exact zeros, which change no sum
-    return current, np.where(held.any(axis=1), _row_sums(current[:, held.any(axis=0)]), value)
+    return np.where(held.any(axis=1), _row_sums((shares * prices)[:, held.any(axis=0)]), value)
 
 
-def rebalance(shares, held, current, value_before, selected, weights, prices, cost_rate: float, order: np.ndarray):
-    """Trade each row from ``current`` positions to ``weights``; return (shares, turnover, cost, value).
+def rebalance(shares, held, value_before, weights, prices, cost_rate: float):
+    """Trade each row from its positions ``shares * prices`` to ``weights``; return (shares, turnover, cost, value).
 
+    ``held`` marks each row's positions and ``weights > 0`` its selection.
     Target positions are ``w * (value_before - cost)`` and the cost is
     ``cost_rate * turnover`` of the trades that reach them; every row solves
-    both together.  ``order`` lists the columns in ticker order, the order
-    the cost equation sums in.  A held name whose target matches its
-    position to the last bit keeps its shares (no phantom trades, no drift
-    from re-dividing).
+    both together.  A held name whose target matches its position to the
+    last bit keeps its shares (no phantom trades, no drift from re-dividing).
     """
     _check_cost_rate(cost_rate)
+    current, selected = shares * prices, weights > 0.0
     union = held | selected
     # a name outside every row's union adds exact zeros, which change no sum
-    order = order[union.any(axis=0)[order]]
-    w, c = weights[:, order], current[:, order]
+    cols = union.any(axis=0)
+    w, c = weights[:, cols], current[:, cols]
     # the cost solves cost = cost_rate * sum_t |w_t (value_before - cost) - current_t|;
     # the gap between the sides is concave, piecewise linear and increasing
     # (slope >= 1 - cost_rate > 0), so Newton from 0 climbs onto the root one
@@ -270,18 +273,14 @@ def rebalance(shares, held, current, value_before, selected, weights, prices, co
     target = weights * (value_before - cost)[:, None]
     kept = held & (target == current)
     shares = np.where(selected, np.where(kept, shares, target / prices), 0.0)
-    turnover = _row_sums(np.abs(target - current)[:, order])
+    turnover = _row_sums(np.abs(target - current)[:, cols])
     cost = cost_rate * turnover
     return shares, turnover, cost, value_before - cost
 
 
 def month_end_indices(dates) -> list[int]:
     """Index of the last date within each calendar month present."""
-    out = []
-    for i, d in enumerate(dates):
-        if i + 1 == len(dates) or dates[i + 1][:7] != d[:7]:
-            out.append(i)
-    return out
+    return [i for i, d in enumerate(dates) if i + 1 == len(dates) or dates[i + 1][:7] != d[:7]]
 
 
 def summarize(monthly_returns) -> Summary:
@@ -339,25 +338,27 @@ class _Books:
     """Every book of one pass, row ``b`` for ``configs[b]``, as arrays over the panel's ``tickers``.
 
     ``shares`` and ``weights`` hold each book's positions and the target
-    weights it last traded to, ``held`` marks the names of its positions and
-    ``value`` is its value at the last month-end.  A book whose ``errors``
-    entry is set has stopped.  The configs share ``cost_rate``.
+    weights it last traded to, so ``held``, the names of its positions, is
+    ``weights > 0`` (a selected name's weight, 1/k or a share of 1/vol, is
+    positive).  ``value`` is its value at the last month-end.  A book whose
+    ``errors`` entry is set has stopped.  The configs share ``cost_rate``.
     """
 
     def __init__(self, configs: list[BacktestConfig], tickers: tuple[str, ...]):
         n_tickers = len(tickers)
         self.configs = configs
         self.tickers = tickers
-        # the cost equation sums in ticker order, as a one-book sum over sorted names does
-        self.order = np.array(sorted(range(n_tickers), key=tickers.__getitem__), dtype=np.intp)
         self.cost_rate = configs[0].cost_rate
         self.ivw = np.array([c.weighting == "ivw" for c in configs])
         self.shares = np.zeros((len(configs), n_tickers))
-        self.held = np.zeros((len(configs), n_tickers), dtype=bool)
         self.weights = np.zeros((len(configs), n_tickers))
         self.value = np.array([c.initial_value for c in configs], dtype=np.float64)
         self.hold_months = np.zeros(len(configs), dtype=np.intp)
         self.errors: list[Exception | None] = [None] * len(configs)
+
+    @property
+    def held(self) -> np.ndarray:
+        return self.weights > 0.0
 
     def advance(self, first: bool, selected: np.ndarray, vols: np.ndarray | None, prices: np.ndarray):
         """Move every live book one month at ``prices``; return ``(ret, turnover, cost, traded)``.
@@ -375,7 +376,7 @@ class _Books:
             for b, exc in _zero_volatility(selected & (traded & self.ivw)[:, None], vols, self.tickers).items():
                 self.errors[b] = exc
                 live[b] = traded[b] = False
-        current, value = _mark(self.shares, self.held, self.value, prices)
+        value = _mark(self.shares, self.held, self.value, prices)
         turnover, cost = np.zeros(len(live)), np.zeros(len(live))
         rows = np.flatnonzero(traded)
         if len(rows):
@@ -384,10 +385,8 @@ class _Books:
             if ivw.any():
                 weights[ivw] = weights_ivw(selected[rows[ivw]], vols)
             self.shares[rows], turnover[rows], cost[rows], value[rows] = rebalance(
-                self.shares[rows], self.held[rows], current[rows], value[rows],
-                selected[rows], weights, prices, self.cost_rate, self.order,
+                self.shares[rows], self.held[rows], value[rows], weights, prices, self.cost_rate
             )
-            self.held[rows] = selected[rows]
             self.weights[rows] = weights
         self.hold_months += live & ~traded
         ret = None
@@ -670,7 +669,7 @@ def load_caps_csv(path) -> dict[str, dict[str, float]]:
 
 
 def cap_weights(caps: dict[str, float]) -> dict[str, float]:
-    total = sum(caps.values())
+    total = left_sum(caps.values())
     return {t: c / total for t, c in caps.items()}
 
 

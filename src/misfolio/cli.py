@@ -41,8 +41,6 @@ from .mis_qubo import SolveTimeout
 from .sb_solver import SbParams, solve_mis_sb_runs
 from .timeseries import DEFAULT_LOOKBACK_DAYS, SEED_LIMIT, correlation, load_prices, log_returns, synth_panel, write_prices
 
-logger = logging.getLogger(__name__)
-
 _LOG_LEVELS = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
@@ -76,8 +74,11 @@ _theta = _value(float, lambda v: -1.0 <= v <= 1.0, "a number in [-1, 1]")
 _cost_bps = _value(float, lambda v: 0.0 <= v < 10_000.0, "a number in [0, 10000)")
 _seed = _value(int, lambda v: 0 <= v < SEED_LIMIT, "an integer in [0, 2**64)")
 _factors = _value(int, lambda v: v >= 0, "an integer >= 0")
-_sizes = _value(lambda text: [int(s) for s in _names(text)], lambda v: v and min(v) >= 2,
-                "comma-separated integers >= 2")
+# a repeated size would run its graphs twice
+_sizes = _value(lambda text: [int(s) for s in _names(text)], lambda v: v and min(v) >= 2 and len(set(v)) == len(v),
+                "distinct comma-separated integers >= 2")
+_MAX_GRAPHS = 10_000  # graph g of bench size n seeds from index n * _MAX_GRAPHS + g, so no two graphs share one
+_graphs = _value(int, lambda v: 1 <= v <= _MAX_GRAPHS, f"an integer in [1, {_MAX_GRAPHS}]")
 _input_file = _value(str, os.path.isfile, "an existing file")
 
 
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time/accuracy comparison of the solvers")
     p.add_argument("--sizes", type=_sizes, required=True, help="comma-separated node counts")
-    p.add_argument("--graphs-per-size", type=_count, default=10)
+    p.add_argument("--graphs-per-size", type=_graphs, default=10)
     p.add_argument("--theta", type=_theta, default=0.25)
     p.add_argument("--solvers", type=_solvers, default=",".join(SOLVERS))
     p.add_argument("--timeout-secs", type=_above_zero, default=600.0, help="exact-solver budget per graph")
@@ -253,7 +254,7 @@ def cmd_bench(args, parser) -> int:
     for n in args.sizes:
         results: dict[str, list[tuple[float, int | None]]] = {s: [] for s in args.solvers}
         for g in range(args.graphs_per_size):
-            seed = derive_seed(args.seed, n * 10_000 + g)  # the graph's panel and its bSB restarts
+            seed = derive_seed(args.seed, n * _MAX_GRAPHS + g)  # the graph's panel and its bSB restarts
             returns = log_returns(synth_panel(n, 300, 3, seed))
             graph = build_graph(correlation(returns, returns.n_rows), args.theta)
             params = SbParams(seed=seed)

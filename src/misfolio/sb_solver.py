@@ -155,10 +155,9 @@ DEFAULT_COUPLING_KAPPA = 1.5
 DT = 0.2  # time step
 ALPHA0 = 1.0  # pump amplitude that alpha_k ramps up to
 #: smallest n for which the pinned/free split beats the dense product (measured, see CHANGES.md),
-#: and the smallest graph solve_mis_sb_runs reduces: from here a step is bound by the coupling
-#: product, so a smaller problem pays; below, a step is call overhead and a non-empty kernel
-#: solves no faster (and the tests of perfbench/test_perfbench.py that pin full-graph bSB use
-#: 6-node graphs, whose kernels are empty)
+#: and the smallest graph solve_mis_sb_runs reduces; reducing smaller graphs too measured faster and
+#: as accurate, but two tests of perfbench/test_perfbench.py pin full-graph bSB on 6-node graphs,
+#: whose kernels are empty
 _SPLIT_MIN_SPINS = 300
 
 

@@ -11,6 +11,7 @@ from misfolio.backtest import (
     MonthRecord,
     ZeroVolatilityError,
     derive_seed,
+    left_sum,
     month_end_indices,
     solve_mis,
 )
@@ -254,7 +255,7 @@ def ref_weights_ew(selected) -> dict[str, float]:
         raise ValueError("cannot weight an empty selection")
     w = 1.0 / len(names)
     raw = {t: w for t in names}
-    total = sum(raw.values())
+    total = left_sum(raw.values())
     return {t: v / total for t, v in raw.items()}
 
 
@@ -268,25 +269,25 @@ def ref_weights_ivw(selected, vols: dict[str, float]) -> dict[str, float]:
     if len({vols[t] for t in names}) == 1:
         return ref_weights_ew(names)
     raw = {t: 1.0 / vols[t] for t in names}
-    total = sum(raw.values())
+    total = left_sum(raw.values())
     return {t: v / total for t, v in raw.items()}
 
 
 def ref_rebalance(prev: Portfolio, new_weights: dict[str, float], prices: dict[str, float],
                   cost_rate: float) -> tuple[Portfolio, float, float]:
-    """One book's trade, name by name in dicts: Newton on the cost equation over the sorted names."""
+    """One book's trade, name by name in dicts: Newton on the cost equation, summed in the panel order of ``prices``."""
     current = {t: s * prices[t] for t, s in prev.shares.items()}
-    value_before = sum(current.values()) if prev.shares else prev.value
-    names = sorted(set(current) | set(new_weights))
+    value_before = left_sum(current.values()) if prev.shares else prev.value
+    names = [t for t in prices if t in current or t in new_weights]
     weight = [new_weights.get(t, 0.0) for t in names]
     held = [current.get(t, 0.0) for t in names]
     cost = 0.0
     for _ in range(len(names) + 2):
         gaps = [w * (value_before - cost) - c for w, c in zip(weight, held)]
-        new_cost = cost_rate * sum(abs(g) for g in gaps)
+        new_cost = cost_rate * left_sum(abs(g) for g in gaps)
         if new_cost == cost:
             break
-        cost += (new_cost - cost) / (1.0 + cost_rate * sum(w if g > 0 else -w for w, g in zip(weight, gaps)))
+        cost += (new_cost - cost) / (1.0 + cost_rate * left_sum(w if g > 0 else -w for w, g in zip(weight, gaps)))
     v_post = value_before - cost
 
     shares: dict[str, float] = {}
@@ -296,7 +297,7 @@ def ref_rebalance(prev: Portfolio, new_weights: dict[str, float], prices: dict[s
             shares[t] = prev.shares[t]
         else:
             shares[t] = target / prices[t]
-    turnover = sum(abs(w * v_post - c) for w, c in zip(weight, held))
+    turnover = left_sum(abs(w * v_post - c) for w, c in zip(weight, held))
     cost = cost_rate * turnover
     portfolio = Portfolio(holdings=dict(new_weights), shares=shares, value=value_before - cost)
     return portfolio, turnover, cost
@@ -329,7 +330,7 @@ def ref_backtest_months(panel, config) -> list[MonthRecord]:
         if not feasible:
             turnover = cost = 0.0
             if portfolio.shares:
-                portfolio.value = sum(s * prices[t] for t, s in portfolio.shares.items())
+                portfolio.value = left_sum(s * prices[t] for t, s in portfolio.shares.items())
         else:
             names = [panel.tickers[i] for i in selection.selected]
             if config.weighting == "ew":

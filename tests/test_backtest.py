@@ -33,6 +33,7 @@ from misfolio.backtest import (
     default_theta_grid,
     derive_seed,
     difr_analysis,
+    left_sum,
     load_caps_csv,
     month_end_indices,
     monthly_stock_returns,
@@ -140,15 +141,13 @@ def trade_one(shares, weights, prices, cost_rate):
     """One book through :func:`rebalance`; return its (shares, turnover, cost, value).
 
     ``shares``, ``weights`` and ``prices`` run over the same columns, in
-    ticker order.  The book's value before the trade is its positions at
+    panel order.  The book's value before the trade is its positions at
     ``prices``.
     """
     shares, weights = np.array([shares], dtype=np.float64), np.array([weights], dtype=np.float64)
     prices = np.array(prices, dtype=np.float64)
-    held, current = shares != 0.0, shares * prices
-    value_before = np.array([sum(current[0].tolist())])
-    out = rebalance(shares, held, current, value_before, weights > 0.0, weights, prices, cost_rate,
-                    np.arange(prices.size))
+    value_before = np.array([left_sum((shares * prices)[0].tolist())])
+    out = rebalance(shares, shares != 0.0, value_before, weights, prices, cost_rate)
     return out[0][0], float(out[1][0]), float(out[2][0]), float(out[3][0])
 
 
@@ -178,7 +177,7 @@ def test_rebalance_identity_value_after_equals_before_minus_cost():
     prices = rng.uniform(10, 200, 9)
     raw = rng.uniform(0.1, 1, 5)
     weights = np.concatenate([np.zeros(3), raw / raw.sum(), np.zeros(1)])
-    value_before = sum((held * prices).tolist())
+    value_before = left_sum((held * prices).tolist())
     shares, turnover, cost, value = trade_one(held, weights, prices, 0.0015)
     assert cost == 0.0015 * turnover
     assert value == pytest.approx(value_before - cost, rel=1e-12)
@@ -248,7 +247,7 @@ def test_array_step_matches_the_dict_reference_bit_for_bit(data):
                 holds[b] += 1
                 want_turnover = want_cost = 0.0
                 if ref.shares:
-                    ref.value = sum(s * price[t] for t, s in ref.shares.items())
+                    ref.value = left_sum(s * price[t] for t, s in ref.shares.items())
             ref = refs[b]
             cols = np.flatnonzero(books.held[b])
             got = (
@@ -997,6 +996,13 @@ def test_load_caps_csv(tmp_path):
     bad.write_text("date,ticker,cap\n2020-01-31,A,-5\n")
     with pytest.raises(DataError):
         load_caps_csv(bad)
+
+
+def test_left_sum_and_cap_weights_add_left_to_right_on_every_python():
+    # a compensated sum (Python 3.12's sum(), math.fsum) gives 2.0 and 1.0 here
+    assert left_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert left_sum([0.1] * 10) == 0.9999999999999999 and left_sum([]) == 0.0
+    assert cap_weights({f"T{i}": 0.1 for i in range(10)}) == {f"T{i}": 0.1 / 0.9999999999999999 for i in range(10)}
 
 
 @pytest.mark.parametrize("cap", ["nan", "inf", "-inf", "abc", ""])

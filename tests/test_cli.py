@@ -141,10 +141,11 @@ def test_solve_sb_prints_per_run_energies_and_is_deterministic(tmp_path):
 
 
 def test_solve_sb_without_a_feasible_restart_writes_the_repaired_best(tmp_path, monkeypatch, capsys):
-    # one bSB step leaves every restart on K6 infeasible; the written set is
-    # repaired, and the run lines still describe the sets before repair
+    # one bSB step leaves every restart on the octahedron K(2,2,2), which has no
+    # isolated or dominated node, infeasible; the written set is repaired, and
+    # the run lines still describe the sets before repair
     monkeypatch.setattr(cli, "SbParams", functools.partial(SbParams, n_steps=1))
-    g = write_edge_list(tmp_path, 6, list(itertools.combinations(range(6), 2)))
+    g = write_edge_list(tmp_path, 6, [(i, j) for i, j in itertools.combinations(range(6), 2) if j - i != 3])
     out = tmp_path / "sol.json"
     parser = cli.build_parser()
     args = parser.parse_args(
@@ -152,7 +153,7 @@ def test_solve_sb_without_a_feasible_restart_writes_the_repaired_best(tmp_path, 
     )
     assert cli.cmd_solve(args, parser) == 0
     sol = json.loads(out.read_text())
-    assert sol["size"] == len(sol["nodes"]) == 1 and sol["feasible"] is True
+    assert sol["size"] == len(sol["nodes"]) == 2 and sol["feasible"] is True
     assert verify(read_edge_list(g), sol["nodes"])[0]
     assert "restarts: 0/3 feasible before repair, best size -, median size -" in capsys.readouterr().out
 
@@ -386,6 +387,8 @@ _BENCH = ["bench", "--sizes", "4", "--solvers", "greedy"]
         (["sweep", "--prices", "{prices}", "--solver", "exact"], "--node-limit", "0"),
         (["sweep", "--prices", "{prices}"], "--cost-bps", "1e4"),
         (_BENCH, "--graphs-per-size", "0"),
+        # graph 10,000 of size n would take the seed of graph 0 of size n + 1
+        (_BENCH, "--graphs-per-size", "10001"),
         (_BENCH, "--timeout-secs", "0"),
         (_BENCH, "--timeout-secs", "-1"),
         (_BENCH, "--timeout-secs", "inf"),
@@ -393,6 +396,9 @@ _BENCH = ["bench", "--sizes", "4", "--solvers", "greedy"]
         (_BENCH, "--sizes", "x"),
         (_BENCH, "--sizes", "1,5"),
         (_BENCH, "--sizes", ","),
+        # a repeated size would run every one of its graphs twice
+        (_BENCH, "--sizes", "20,20"),
+        (_BENCH, "--sizes", "20,21,20"),
         (["solve"], "--graph", "{missing}"),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else v.lstrip("-"),
@@ -406,6 +412,11 @@ def test_count_and_budget_flags_out_of_range_are_usage_errors(tmp_path, capsys, 
     assert exc.value.code == 2
     assert f"argument {flag}: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_bench_takes_up_to_10000_graphs_per_size():
+    args = cli.build_parser().parse_args(["bench", "--sizes", "20,21", "--graphs-per-size", "10000", "--out", "b.csv"])
+    assert (args.sizes, args.graphs_per_size) == ([20, 21], 10_000)
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])

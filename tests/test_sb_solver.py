@@ -689,12 +689,15 @@ def test_mis_repair_flag_promotes_infeasible_runs():
 
 
 def test_mis_sb_repairs_when_no_restart_is_feasible():
-    k6 = graph_from_edges(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    # the octahedron K(2,2,2): no node is isolated or dominated, so bSB steps the
+    # whole graph whether or not it is reduced first
+    octahedron = graph_from_edges(6, [(i, j) for i in range(6) for j in range(i + 1, 6) if j - i != 3])
+    assert len(reduce(octahedron)[1]) == 6
     params = SbParams(n_steps=1, restarts=3, seed=1)
-    assert solve_mis_sb_runs(k6, params)[0] is NO_FEASIBLE  # one step: every restart infeasible
-    sol = solve_mis_sb(k6, params)
-    assert sol.size == 1 and sol.feasible is True
-    assert verify(k6, sol.selected) == (True, [])
+    assert solve_mis_sb_runs(octahedron, params)[0] is NO_FEASIBLE  # one step: every restart infeasible
+    sol = solve_mis_sb(octahedron, params)
+    assert sol.size == 2 and sol.feasible is True
+    assert verify(octahedron, sol.selected) == (True, [])
 
 
 def test_large_graph_runs_bsb_on_its_kernel_and_maps_each_run_back():
