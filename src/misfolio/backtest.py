@@ -439,7 +439,6 @@ def _simulate(panel: PricePanel, books: _Books, group: int):
             dates=returns.dates[:di], tickers=returns.tickers, values=returns.values[:di]
         )
         corr = timeseries.correlation(window, window_days)
-        vols = timeseries.volatility(window, window_days) if books.ivw.any() else None
         density = np.zeros(n_books)
         selected = np.zeros((n_books, panel.n_tickers), dtype=bool)
         for rows in groups:
@@ -457,7 +456,7 @@ def _simulate(panel: PricePanel, books: _Books, group: int):
             # an empty or infeasible selection holds the book
             if selection.feasible is True and selection.size:
                 selected[rows.start : rows.stop, list(selection.selected)] = True
-        yield _Month(*books.advance(mi == 0, selected, vols, panel.prices[di]), panel.dates[di], density)
+        yield _Month(*books.advance(mi == 0, selected, corr.volatility, panel.prices[di]), panel.dates[di], density)
 
 
 def run_backtest(panel: PricePanel, config: BacktestConfig) -> BacktestReport:

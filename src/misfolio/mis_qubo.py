@@ -37,7 +37,7 @@ from .market_graph import _BLOCK_ROWS, MarketGraph, _strips
 
 PENALTY = 2.0
 REWARD = 1.0
-_NEVER_PICKED = np.iinfo(np.intp).max  # a picked or removed node's degree; later drops take at most n off it
+_NEVER_PICKED = np.iinfo(np.int32).max  # a picked or removed node's degree; degrees are below n, drops at most n
 #: rows per block and per column chunk of reduce's domination product: at n=2048 (seeds 0-3), 0.06-0.07 s against
 #: 0.08-0.09 s with 64 and 0.07-0.08 s with 512 (2-core Xeon, OpenBLAS 0.3.31)
 _DOMINATION_ROWS = 256
@@ -267,7 +267,7 @@ def _min_degree_order(adjacency: np.ndarray):
     no other degree, so these are exactly the next picks.
     """
     rows = adjacency.view(np.uint8)
-    deg = np.add.reduce(rows, axis=1, dtype=np.intp)
+    deg = np.add.reduce(rows, axis=1, dtype=np.int32)
     alive = np.ones(len(rows), dtype=bool)
     left = len(rows)
     while left:
@@ -281,7 +281,7 @@ def _min_degree_order(adjacency: np.ndarray):
             removed = alive & adjacency[best]
             removed[best] = True
             idx = removed.nonzero()[0]
-            deg -= np.add.reduce(rows[idx], axis=0, dtype=np.intp)
+            deg -= np.add.reduce(rows[idx], axis=0, dtype=np.int32)
         alive[idx] = False
         deg[idx] = _NEVER_PICKED
         left -= len(idx)

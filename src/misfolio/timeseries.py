@@ -4,7 +4,8 @@ Conventions used throughout:
 
 * daily log return: ``R_i(t) = ln(P_i(t) / P_i(t-1))``
 * volatility: population standard deviation (divide by the window length,
-  not by ``T - 1``) of the log returns over the trailing window
+  not by ``T - 1``) of the log returns over the trailing window; it comes
+  from the same centred window as the correlation, which carries it
 * correlation: Pearson coefficient over the trailing window, clamped to
   ``[-1, 1]`` after computation to absorb rounding
 
@@ -145,12 +146,14 @@ class CorrelationMatrix:
 
     ``zero_variance`` lists column indices whose returns were constant
     over the window; their rows/columns are zeroed and they take no part
-    in any threshold graph with a positive threshold.
+    in any threshold graph with a positive threshold.  ``volatility`` is the
+    window's :func:`volatility` when :func:`correlation` made the matrix, else None.
     """
 
     tickers: tuple[str, ...]
     values: np.ndarray
     zero_variance: tuple[int, ...] = field(default=())
+    volatility: np.ndarray | None = None
 
     def __post_init__(self):
         c, n = np.asarray(self.values), len(self.tickers)
@@ -261,16 +264,24 @@ def _trailing(returns: ReturnMatrix, window_days: int) -> np.ndarray:
     return returns.values[-window_days:]
 
 
+def _centred(w: np.ndarray):
+    """``w``'s exact-constancy mask, centred columns ``d``, their sums of squares ``S`` and ``sqrt(S / T)``, exactly 0
+    where constant: ``np.std``'s terms in its order, so one centring gives both correlation and volatility."""
+    zero = np.ptp(w, axis=0) == 0.0  # exact constancy test; centering alone can leave rounding residue
+    d = w - w.mean(axis=0)
+    s = (d * d).sum(axis=0)
+    std = np.sqrt(s / len(w))
+    std[zero] = 0.0
+    return zero, d, s, std
+
+
 def volatility(returns: ReturnMatrix, window_days: int) -> np.ndarray:
     """Per-ticker population std of returns over the trailing window.
 
     A column that is exactly constant reports exactly 0 (the residue the
     mean would otherwise leave matters to inverse-volatility weighting).
     """
-    w = _trailing(returns, window_days)
-    out = w.std(axis=0)
-    out[np.ptp(w, axis=0) == 0.0] = 0.0
-    return out
+    return _centred(_trailing(returns, window_days))[3]
 
 
 def correlation(returns: ReturnMatrix, window_days: int) -> CorrelationMatrix:
@@ -282,11 +293,8 @@ def correlation(returns: ReturnMatrix, window_days: int) -> CorrelationMatrix:
     numpy forming ``d.T @ d`` of one array as a symmetric rank-k update, and
     on ``c_ij / (s_i * s_j)`` rounding as ``c_ji / (s_j * s_i)`` does.
     """
-    w = _trailing(returns, window_days)
-    # exact constancy test; centering alone can leave rounding residue
-    zero = np.ptp(w, axis=0) == 0.0
-    d = w - w.mean(axis=0)
-    norm = np.sqrt((d * d).sum(axis=0))
+    zero, d, s, std = _centred(_trailing(returns, window_days))
+    norm = np.sqrt(s)
     safe = np.where(norm == 0.0, 1.0, norm)
     c = d.T @ d
     # bit for bit (d.T @ d) / outer(safe, safe), in row blocks instead of an n x n temporary
@@ -307,6 +315,7 @@ def correlation(returns: ReturnMatrix, window_days: int) -> CorrelationMatrix:
         tickers=returns.tickers,
         values=c,
         zero_variance=tuple(int(i) for i in flagged),
+        volatility=std,
     )
 
 

@@ -417,6 +417,14 @@ def test_min_degree_order_matches_reference_on_the_sweep_grid():
         assert_same_pick_order(g, label)
 
 
+def test_min_degree_order_counts_degrees_above_255():
+    # the degree count must not wrap like a one-byte accumulator would
+    returns = log_returns(synth_panel(300, 300, 3, 0))
+    g = build_graph(correlation(returns, returns.n_rows), 0.25)
+    assert g.n_nodes > 256 and g.adjacency_matrix.sum(axis=1).max() > 255
+    assert_same_pick_order(g)
+
+
 @given(st.integers(0, 48), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
 @example(0, 0.5, 0)
 @example(30, 0.0, 1)

@@ -330,6 +330,11 @@ def test_tiled_correlation_is_bit_identical_to_the_whole_matrix(n):
         c = correlation(returns_from(vals), window)
         assert c.zero_variance == (n // 2,)
         assert c.values.tobytes() == untiled_correlation(vals[-window:]).tobytes()
+        # the volatility centred with the correlation is np.std's, the constant column exactly 0
+        std = vals[-window:].std(axis=0)
+        std[n // 2] = 0.0
+        assert c.volatility.tobytes() == volatility(returns_from(vals), window).tobytes() == std.tobytes()
+    assert CorrelationMatrix(tickers=("a", "b"), values=np.eye(2)).volatility is None
 
 
 def test_correlation_insufficient_rows():
